@@ -2,9 +2,9 @@
 //! reduced scale, per engine. (Simulated-cycle results are deterministic;
 //! this measures the *simulator*, not the GPU.)
 //!
-//! The `fastforward` group pits naive per-cycle stepping against
-//! event-horizon fast-forward on the memory-bound workloads where idle
-//! windows dominate. For paper-scale numbers and the exported
+//! The `fastforward` group pits naive per-cycle stepping against the
+//! wake-driven loop on the memory-bound workloads where idle components
+//! dominate. For paper-scale numbers and the exported
 //! `BENCH_throughput.json`, use
 //! `cargo run --release -p caps-bench --bin run -- --bench-throughput`.
 

@@ -3,24 +3,20 @@
 //!
 //! ```text
 //! run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler] [--threads N]
-//!     [--sim-threads N]
 //!   BENCH:  CP LPS BPR HSP MRQ STE CNV HST JC1 FFT SCN MM PVR CCL BFS KM
 //!   ENGINE: base intra inter mta nlp lap orch caps caps-nw
 //!           caps@lrr caps@tlv caps@gto
 //! run --bench-throughput [--small] [--out PATH] [--workloads A,B,..]
-//!     [--sim-threads A,B,..]
 //! ```
 //!
 //! `--bench-throughput` times the full workload suite (BASE and CAPS,
-//! event-horizon fast-forward on and off), reports simulated cycles/sec
-//! and host seconds per run, and writes the results to
-//! `BENCH_throughput.json` (override with `--out`) so the simulator's
-//! perf trajectory is tracked across PRs. `--workloads` restricts the
-//! sweep to a comma-separated list of benchmark abbreviations (the CI
-//! smoke job runs `--workloads SCN,MRQ --small`). `--sim-threads A,B`
-//! additionally times the phase-split parallel engine at each listed
-//! worker count, asserts its stats are bit-identical to the sequential
-//! fast engine, and appends per-thread-count entries to the JSON.
+//! naive and wake-driven stepping), asserts both modes produce the same
+//! stats, reports simulated cycles/sec and host seconds per run, and
+//! writes the results to `BENCH_throughput.json` (override with `--out`)
+//! so the simulator's perf trajectory is tracked across PRs.
+//! `--workloads` restricts the sweep to a comma-separated list of
+//! benchmark abbreviations (the CI smoke job runs `--workloads SCN,MRQ
+//! --small`).
 //!
 //! ```text
 //! run --tenants A+B[,C+D..] [--small] [--out PATH]
@@ -29,23 +25,23 @@
 //! `--tenants` runs the multi-tenant co-run interference table: each
 //! `+`-joined group shares the machine as co-resident kernel contexts
 //! under every partitioning policy (exclusive, sm-split, shared), for
-//! BASE and CAPS. Each co-run executes under all three stepping engines
-//! (naive, fast-forward, parallel x4) and the binary exits non-zero if
-//! any machine or per-tenant counter differs between them. The table —
-//! per-tenant IPC solo vs co-resident — is written to
-//! `TENANTS_corun.json` (override with `--out`).
+//! BASE and CAPS. Each co-run executes under both stepping modes (naive
+//! and wake-driven) and the binary exits non-zero if any machine or
+//! per-tenant counter differs between them. The table — per-tenant IPC
+//! solo vs co-resident — is written to `TENANTS_corun.json` (override
+//! with `--out`).
 
 use std::time::Instant;
 
 use caps_gpu_sim::config::GpuConfig;
 use caps_json::{obj, Value};
-use caps_metrics::{run_one_with_opts, Engine, Partitioning, RunOpts, RunSpec, Table};
+use caps_metrics::{run_one, run_one_with_fast_forward, Engine, Partitioning, RunSpec, Table};
 use caps_workloads::{all_workloads, Scale, Workload};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler] [--threads N] [--sim-threads N]\n\
-         \x20      run --bench-throughput [--small] [--out PATH] [--workloads A,B,..] [--sim-threads A,B,..]\n\
+        "usage: run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler] [--threads N]\n\
+         \x20      run --bench-throughput [--small] [--out PATH] [--workloads A,B,..]\n\
          \x20      run --tenants A+B[,C+D..] [--small] [--out PATH]\n\
          BENCH:  {}\n\
          ENGINE: base intra inter mta nlp lap orch caps caps-nw caps@lrr caps@tlv caps@gto",
@@ -105,10 +101,9 @@ fn bench_tenants(args: &[String]) {
         .unwrap_or_else(|| usage());
     let pairings = parse_pairings(&list);
     let engines = [Engine::Baseline, Engine::Caps];
-    // The three stepping engines every co-run must agree under:
-    // (label, fast_forward, sim_threads).
-    let modes: [(&str, bool, usize); 3] =
-        [("naive", false, 1), ("fast", true, 1), ("par4", true, 4)];
+    // The stepping modes every co-run must agree under:
+    // (label, fast_forward).
+    let modes: [(&str, bool); 2] = [("naive", false), ("fast", true)];
 
     // Solo baselines: one run per (workload, engine) across all
     // pairings, reused for every policy row.
@@ -121,7 +116,7 @@ fn bench_tenants(args: &[String]) {
                 spec.scale = scale;
                 solo_ipc
                     .entry((w.abbr().to_string(), e.label().to_string()))
-                    .or_insert_with(|| run_one_with_opts(&spec, &RunOpts::default()).ipc());
+                    .or_insert_with(|| run_one(&spec).ipc());
             }
         }
     }
@@ -143,23 +138,14 @@ fn bench_tenants(args: &[String]) {
                 let mut spec = RunSpec::paper(group[0], engine)
                     .co_resident(group[1..].to_vec(), policy);
                 spec.scale = scale;
-                // Cross-engine agreement: machine stats and per-tenant
-                // stats must be bit-identical under all three stepping
-                // engines.
-                let mut records = modes.iter().map(|&(_, ff, threads)| {
-                    run_one_with_opts(
-                        &spec,
-                        &RunOpts {
-                            fast_forward: Some(ff),
-                            sim_threads: Some(threads),
-                            adaptive: Some(false),
-                            ..RunOpts::default()
-                        },
-                    )
-                });
+                // Cross-mode agreement: machine stats and per-tenant
+                // stats must be bit-identical under both stepping modes.
+                let mut records = modes
+                    .iter()
+                    .map(|&(_, ff)| run_one_with_fast_forward(&spec, ff));
                 let reference = records.next().expect("naive mode");
                 let mut mode_cycles = vec![("naive", reference.stats.cycles)];
-                for (rec, &(label, _, _)) in records.zip(&modes[1..]) {
+                for (rec, &(label, _)) in records.zip(&modes[1..]) {
                     mode_cycles.push((label, rec.stats.cycles));
                     if rec.stats != reference.stats || rec.per_kernel != reference.per_kernel {
                         drift.push(format!(
@@ -176,7 +162,7 @@ fn bench_tenants(args: &[String]) {
                 if let caps_metrics::Tenancy::Co { throttle, .. } = &mut base_spec.tenancy {
                     *throttle = false;
                 }
-                let unthrottled = run_one_with_opts(&base_spec, &RunOpts::default());
+                let unthrottled = run_one(&base_spec);
                 let mut tenants = Vec::new();
                 for ((&w, k), uk) in group
                     .iter()
@@ -237,7 +223,7 @@ fn bench_tenants(args: &[String]) {
     let doc = obj(vec![
         ("bench", Value::Str("tenants_corun".to_string())),
         ("scale", Value::Str(scale_str.to_string())),
-        ("host", caps_bench::host_json(4)),
+        ("host", caps_bench::host_json(1)),
         ("entries", Value::Arr(entries)),
     ]);
     std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
@@ -273,69 +259,28 @@ fn bench_throughput(args: &[String]) {
         }
         None => all_workloads(),
     };
-    let sim_threads: Vec<usize> = match args.iter().position(|a| a == "--sim-threads") {
-        Some(i) => {
-            let list = args.get(i + 1).cloned().unwrap_or_default();
-            list.split(',')
-                .map(|t| {
-                    t.trim().parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                        eprintln!("bad worker count {t:?} in --sim-threads");
-                        usage()
-                    })
-                })
-                .collect()
-        }
-        None => Vec::new(),
-    };
     let reps = 7;
     let scale_str = if scale == Scale::Small { "small" } else { "full" };
-    // Engine configurations timed for every (workload, engine) pair:
-    // naive, single-thread fast-forward, then the parallel engine at
-    // each requested worker count.
-    let mut configs = vec![
-        RunOpts {
-            fast_forward: Some(false),
-            sim_threads: Some(1),
-            ..RunOpts::default()
-        },
-        RunOpts {
-            fast_forward: Some(true),
-            sim_threads: Some(1),
-            ..RunOpts::default()
-        },
-    ];
-    for &threads in &sim_threads {
-        configs.push(RunOpts {
-            fast_forward: Some(true),
-            sim_threads: Some(threads),
-            // Measure the parallel engine itself: the adaptive
-            // controller would otherwise fall back to sequential on
-            // oversubscribed hosts and report fast-1 numbers twice.
-            adaptive: Some(false),
-            ..RunOpts::default()
-        });
-    }
     let engines = [Engine::Baseline, Engine::Caps];
     // Best-of-N with the reps spread across whole-suite passes (pass 1
     // times every cell once, then pass 2, ...). Two levels of
-    // interleaving defend the mode-vs-mode ratios against host-speed
-    // variance: adjacent configs of a pair sample the same short-term
+    // interleaving defend the naive-vs-wake ratios against host-speed
+    // variance: the two modes of a pair sample the same short-term
     // drift, and a pair's reps land minutes apart so a multi-second
     // throttle burst (shared cores, CI quotas) cannot poison all reps
     // of one cell.
     type BestCell = Option<(caps_metrics::RunRecord, f64)>;
-    let mut best: Vec<Vec<Vec<BestCell>>> =
-        vec![vec![vec![None; configs.len()]; engines.len()]; workloads.len()];
+    let mut best: Vec<Vec<[BestCell; 2]>> =
+        vec![vec![[None, None]; engines.len()]; workloads.len()];
     for pass in 0..reps {
         for (wi, &workload) in workloads.iter().enumerate() {
             for (ei, &engine) in engines.iter().enumerate() {
                 let mut spec = RunSpec::paper(workload, engine);
                 spec.scale = scale;
-                for (ci, opts) in configs.iter().enumerate() {
+                for (slot, fast_forward) in best[wi][ei].iter_mut().zip([false, true]) {
                     let t0 = Instant::now();
-                    let rec = run_one_with_opts(&spec, opts);
+                    let rec = run_one_with_fast_forward(&spec, fast_forward);
                     let secs = t0.elapsed().as_secs_f64();
-                    let slot = &mut best[wi][ei][ci];
                     if slot.as_ref().is_none_or(|(_, b)| secs < *b) {
                         *slot = Some((rec, secs));
                     }
@@ -347,106 +292,66 @@ fn bench_throughput(args: &[String]) {
     let mut entries = Vec::new();
     println!(
         "{:<5} {:<5} {:>12} {:>11} {:>11} {:>14} {:>14} {:>8}",
-        "bench", "eng", "sim cycles", "naive s", "fast s", "naive cyc/s", "fast cyc/s", "speedup"
+        "bench", "eng", "sim cycles", "naive s", "wake s", "naive cyc/s", "wake cyc/s", "speedup"
     );
-    for (wi, _workload) in workloads.iter().enumerate() {
-        for (ei, _engine) in engines.iter().enumerate() {
-            let mut timed = best[wi][ei].iter().map(|slot| {
-                let (rec, secs) = slot.as_ref().expect("reps > 0");
-                (rec, *secs)
-            });
-            let (naive_rec, naive_s) = timed.next().expect("naive config");
-            let (fast_rec, fast_s) = timed.next().expect("fast config");
-            assert_eq!(
-                naive_rec.stats, fast_rec.stats,
-                "fast-forward diverged on {} / {}",
-                naive_rec.workload, naive_rec.engine
-            );
-            let cycles = fast_rec.stats.cycles;
-            let speedup = naive_s / fast_s;
-            println!(
-                "{:<5} {:<5} {:>12} {:>11.4} {:>11.4} {:>14.0} {:>14.0} {:>7.2}x",
-                naive_rec.workload,
-                naive_rec.engine,
-                cycles,
-                naive_s,
-                fast_s,
-                cycles as f64 / naive_s,
-                cycles as f64 / fast_s,
-                speedup
-            );
-            entries.push(obj(vec![
-                ("workload", Value::Str(naive_rec.workload.clone())),
-                ("engine", Value::Str(naive_rec.engine.clone())),
-                ("scale", Value::Str(scale_str.to_string())),
-                ("simulated_cycles", Value::UInt(cycles)),
-                ("naive_host_seconds", Value::Float(naive_s)),
-                ("fast_host_seconds", Value::Float(fast_s)),
-                (
-                    "naive_cycles_per_sec",
-                    Value::Float(cycles as f64 / naive_s),
-                ),
-                ("fast_cycles_per_sec", Value::Float(cycles as f64 / fast_s)),
-                ("speedup", Value::Float(speedup)),
-                // Growth-valve activations across the whole memory path:
-                // 0 = the preallocated ring sizing held and the run was
-                // allocation-free in steady state.
-                ("ring_grows", Value::UInt(fast_rec.links.total().grows)),
-            ]));
-            // Phase-split parallel engine at each requested worker
-            // count, compared against the single-thread fast engine.
-            for &threads in &sim_threads {
-                let (par_rec, par_s) = timed.next().expect("parallel config");
-                assert_eq!(
-                    par_rec.stats, fast_rec.stats,
-                    "parallel engine diverged on {} / {} at sim_threads={}",
-                    par_rec.workload, par_rec.engine, threads
-                );
-                println!(
-                    "{:<5} {:<5} {:>12} {:>11} {:>11.4} {:>14} {:>14.0} {:>7.2}x  (sim-threads {})",
-                    par_rec.workload,
-                    par_rec.engine,
-                    cycles,
-                    "-",
-                    par_s,
-                    "-",
-                    cycles as f64 / par_s,
-                    fast_s / par_s,
-                    threads
-                );
-                entries.push(obj(vec![
-                    ("workload", Value::Str(par_rec.workload.clone())),
-                    ("engine", Value::Str(par_rec.engine.clone())),
-                    ("scale", Value::Str(scale_str.to_string())),
-                    ("sim_threads", Value::UInt(threads as u64)),
-                    ("simulated_cycles", Value::UInt(cycles)),
-                    ("par_host_seconds", Value::Float(par_s)),
-                    ("par_cycles_per_sec", Value::Float(cycles as f64 / par_s)),
-                    ("speedup_vs_fast1", Value::Float(fast_s / par_s)),
-                    ("ring_grows", Value::UInt(par_rec.links.total().grows)),
-                ]));
-            }
-        }
+    for cells in best.iter().flatten() {
+        let [(naive_rec, naive_s), (wake_rec, wake_s)] = cells.each_ref().map(|slot| {
+            let (rec, secs) = slot.as_ref().expect("reps > 0");
+            (rec, *secs)
+        });
+        assert_eq!(
+            naive_rec.stats, wake_rec.stats,
+            "wake-driven stepping diverged on {} / {}",
+            naive_rec.workload, naive_rec.engine
+        );
+        let cycles = wake_rec.stats.cycles;
+        let speedup = naive_s / wake_s;
+        println!(
+            "{:<5} {:<5} {:>12} {:>11.4} {:>11.4} {:>14.0} {:>14.0} {:>7.2}x",
+            naive_rec.workload,
+            naive_rec.engine,
+            cycles,
+            naive_s,
+            wake_s,
+            cycles as f64 / naive_s,
+            cycles as f64 / wake_s,
+            speedup
+        );
+        entries.push(obj(vec![
+            ("workload", Value::Str(naive_rec.workload.clone())),
+            ("engine", Value::Str(naive_rec.engine.clone())),
+            ("scale", Value::Str(scale_str.to_string())),
+            ("simulated_cycles", Value::UInt(cycles)),
+            ("naive_host_seconds", Value::Float(naive_s)),
+            ("fast_host_seconds", Value::Float(wake_s)),
+            (
+                "naive_cycles_per_sec",
+                Value::Float(cycles as f64 / naive_s),
+            ),
+            ("fast_cycles_per_sec", Value::Float(cycles as f64 / wake_s)),
+            ("speedup", Value::Float(speedup)),
+            // Growth-valve activations across the whole memory path:
+            // 0 = the preallocated ring sizing held and the run was
+            // allocation-free in steady state.
+            ("ring_grows", Value::UInt(wake_rec.links.total().grows)),
+        ]));
     }
     let best = entries
         .iter()
         .filter_map(|e| e.get("speedup").and_then(|v| v.as_f64().ok()))
         .fold(0.0_f64, f64::max);
-    // Host header: oversubscription is judged against the widest
-    // parallel-engine configuration this run timed (1 = seq only).
-    let widest = sim_threads.iter().copied().max().unwrap_or(1);
     let doc = obj(vec![
         ("bench", Value::Str("sim_throughput".to_string())),
         (
             "timing",
-            Value::Str(format!("best of {reps} whole-suite passes, configs interleaved")),
+            Value::Str(format!("best of {reps} whole-suite passes, modes interleaved")),
         ),
-        ("host", caps_bench::host_json(widest)),
+        ("host", caps_bench::host_json(1)),
         ("best_speedup", Value::Float(best)),
         ("entries", Value::Arr(entries)),
     ]);
     std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("\nwrote {out} (best fast-forward speedup {best:.2}x)");
+    println!("\nwrote {out} (best wake-driven speedup {best:.2}x)");
 }
 
 fn main() {
@@ -496,17 +401,7 @@ fn main() {
             .unwrap_or_else(|| usage());
         spec.base_config.max_ctas_per_sm = n;
     }
-    let mut opts = RunOpts::default();
-    if let Some(i) = args.iter().position(|a| a == "--sim-threads") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| usage());
-        opts.sim_threads = Some(n);
-    }
-
-    let r = run_one_with_opts(&spec, &opts);
+    let r = run_one(&spec);
     let s = &r.stats;
     println!("{} under {}\n", r.workload, r.engine);
     let mut t = Table::new(&["metric", "value"]);

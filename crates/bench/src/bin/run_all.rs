@@ -8,17 +8,17 @@
 //! `--threads N` caps the harness worker count (default: one worker per
 //! available core).
 //!
-//! After the figures, the binary runs an engine-determinism smoke: every
-//! workload once per stepping engine — naive, fast (event-horizon), and
-//! fast+parallel (phase-split, 4 workers) — prints the per-workload
-//! timing table, and **exits non-zero if any stats field differs between
-//! engines**, so CI catches determinism drift cheaply.
+//! After the figures, the binary runs a stepping-mode determinism smoke:
+//! every workload once naive and once wake-driven — prints the
+//! per-workload timing table, and **exits non-zero if any stats field or
+//! link-report counter differs between the modes**, so CI catches
+//! determinism drift cheaply.
 
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-use caps_metrics::{run_one_with_opts, save, Engine, RunOpts, RunSpec, Table};
+use caps_metrics::{run_one_with_fast_forward, save, Engine, RunSpec, Table};
 use caps_workloads::Scale;
 
 fn write(dir: &Path, name: &str, contents: String) {
@@ -119,75 +119,42 @@ fn main() {
         }
     );
 
-    // Engine-determinism smoke: every workload once per stepping engine.
-    // The engines must agree on every stats field; timing columns double
-    // as a coarse per-workload throughput report. The `q hw`/`cr
-    // stall`/`grows` columns summarise the parallel run's port-layer
-    // report: the deepest ring high-water mark, total credit-stall
-    // events, and growth-valve activations (0 = the preallocated sizing
-    // held and the memory path ran allocation-free). A fourth run leaves
-    // the measured seq-vs-par controller live: it must also be
-    // bit-identical, and its per-window ns-per-cycle EMAs (`seq ns/c`,
-    // `par ns/c`) plus engine-switch count (`sw`) report what the
-    // controller measured on this host.
-    const PAR_THREADS: usize = 4;
-    println!("\nStepping-engine determinism (CAPS; naive vs fast vs parallel x{PAR_THREADS} vs adaptive):");
+    // Stepping-mode determinism smoke: every workload once naive and
+    // once wake-driven. The modes must agree on every stats field and on
+    // the port-layer report; timing columns double as a coarse
+    // per-workload throughput report. The `q hw`/`cr stall`/`grows`
+    // columns summarise the port-layer report: the deepest ring
+    // high-water mark, total credit-stall events, and growth-valve
+    // activations (0 = the preallocated sizing held and the memory path
+    // ran allocation-free).
+    println!("\nStepping-mode determinism (CAPS; naive vs wake-driven):");
     let mut table = Table::new(&[
-        "bench", "cycles", "naive s", "fast s", "par s", "fast x", "par x", "q hw", "cr stall",
-        "grows", "seq ns/c", "par ns/c", "sw",
+        "bench", "cycles", "naive s", "wake s", "wake x", "q hw", "cr stall", "grows",
     ]);
     let mut drift = Vec::new();
     for w in caps_bench::workloads() {
         let mut spec = RunSpec::paper(w, Engine::Caps);
         spec.scale = scale;
-        let time = |ff: bool, threads: usize, adaptive: bool| {
-            let opts = RunOpts {
-                fast_forward: Some(ff),
-                sim_threads: Some(threads),
-                // The first three rows pin the engine choice so each
-                // stepping engine is actually exercised; the adaptive
-                // row lets the controller measure and pick.
-                adaptive: Some(adaptive),
-                ..RunOpts::default()
-            };
+        let time = |fast_forward: bool| {
             let t0 = Instant::now();
-            let rec = run_one_with_opts(&spec, &opts);
+            let rec = run_one_with_fast_forward(&spec, fast_forward);
             (rec, t0.elapsed().as_secs_f64())
         };
-        let (naive, naive_s) = time(false, 1, false);
-        let (fast, fast_s) = time(true, 1, false);
-        let (par, par_s) = time(true, PAR_THREADS, false);
-        let (adapt, _) = time(true, PAR_THREADS, true);
-        if fast.stats != naive.stats {
-            drift.push(format!("{}: fast engine diverged from naive", naive.workload));
+        let (naive, naive_s) = time(false);
+        let (wake, wake_s) = time(true);
+        if wake.stats != naive.stats || wake.links != naive.links {
+            drift.push(format!("{}: wake-driven stepping diverged from naive", naive.workload));
         }
-        if par.stats != naive.stats {
-            drift.push(format!(
-                "{}: parallel engine (x{PAR_THREADS}) diverged from naive",
-                naive.workload
-            ));
-        }
-        if adapt.stats != naive.stats {
-            drift.push(format!(
-                "{}: adaptive engine selection diverged from naive",
-                naive.workload
-            ));
-        }
-        let ports = par.links.total();
+        let ports = wake.links.total();
         table.row(vec![
             naive.workload.clone(),
             format!("{}", naive.stats.cycles),
             format!("{naive_s:.3}"),
-            format!("{fast_s:.3}"),
-            format!("{par_s:.3}"),
-            format!("{:.2}", naive_s / fast_s),
-            format!("{:.2}", naive_s / par_s),
+            format!("{wake_s:.3}"),
+            format!("{:.2}", naive_s / wake_s),
             format!("{}", ports.high_water),
             format!("{}", ports.credit_stalls),
             format!("{}", ports.grows),
-            format!("{:.1}", adapt.adapt.seq_ns_per_cycle),
-            format!("{:.1}", adapt.adapt.par_ns_per_cycle),
-            format!("{}", adapt.adapt.switches),
         ]);
     }
     println!("{}", table.render());
@@ -197,5 +164,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("determinism: all engines bit-identical on every workload");
+    println!("determinism: naive and wake-driven stepping bit-identical on every workload");
 }

@@ -82,14 +82,14 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--query-stats") {
-        let (farm, cache, adapt) = connect(&socket).server_stats().unwrap_or_else(|e| {
+        let (farm, cache) = connect(&socket).server_stats().unwrap_or_else(|e| {
             eprintln!("simctl: stats: {e}");
             std::process::exit(1);
         });
         // The raw reply document is the scriptable surface; print it.
         println!(
             "{}",
-            caps_service::Response::Stats { farm, cache, adapt }
+            caps_service::Response::Stats { farm, cache }
                 .to_value()
                 .pretty()
         );

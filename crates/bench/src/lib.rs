@@ -26,23 +26,52 @@ use caps_workloads::{all_workloads, Scale, Workload};
 
 /// Host topology metadata for benchmark report headers, so numbers in
 /// committed `BENCH_*.json` files can be compared across machines:
-/// physical core count, logical CPUs, SMT, the CPU model string, worker
-/// pinning, and whether `workers` threads oversubscribe the physical
-/// cores (the single-core-CI caveat made machine-readable).
+/// physical core count, logical CPUs, SMT, the CPU model string, and
+/// whether `workers` threads oversubscribe the logical CPUs.
 pub fn host_json(workers: usize) -> Value {
-    let t = caps_gpu_sim::topo::host_topology();
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let (mut logical, mut physical, model) = parse_cpuinfo(&cpuinfo);
+    if logical == 0 {
+        // No procfs: a flat topology from the standard library.
+        logical = std::thread::available_parallelism().map_or(1, |n| n.get());
+        physical = logical;
+    }
     obj(vec![
-        ("physical_cores", Value::UInt(t.physical_cores as u64)),
-        ("logical_cpus", Value::UInt(t.logical_cpus() as u64)),
-        ("smt", Value::Bool(t.smt)),
-        ("model", Value::Str(t.model.clone())),
+        ("physical_cores", Value::UInt(physical as u64)),
+        ("logical_cpus", Value::UInt(logical as u64)),
+        ("smt", Value::Bool(logical > physical)),
+        ("model", Value::Str(model)),
         ("workers", Value::UInt(workers as u64)),
-        ("oversubscribed", Value::Bool(t.oversubscribed(workers))),
-        (
-            "pinning",
-            Value::Bool(caps_gpu_sim::topo::pinning_enabled()),
-        ),
+        ("oversubscribed", Value::Bool(workers > logical)),
     ])
+}
+
+/// Logical CPUs, distinct physical cores (`physical id`, `core id`
+/// pairs; a CPU without them counts as its own core) and the first
+/// `model name` of a `/proc/cpuinfo` text.
+fn parse_cpuinfo(text: &str) -> (usize, usize, String) {
+    let mut model = String::new();
+    let mut cores = std::collections::BTreeSet::new();
+    let mut logical = 0;
+    for block in text.split("\n\n") {
+        let field = |key: &str| {
+            block.lines().find_map(|line| {
+                let (k, v) = line.split_once(':')?;
+                (k.trim() == key).then(|| v.trim().to_string())
+            })
+        };
+        let Some(id) = field("processor") else { continue };
+        logical += 1;
+        let core = (field("physical id"), field("core id"));
+        cores.insert(match core {
+            (Some(pkg), Some(core)) => format!("{pkg}/{core}"),
+            _ => format!("cpu{id}"),
+        });
+        if model.is_empty() {
+            model = field("model name").unwrap_or_default();
+        }
+    }
+    (logical, cores.len(), model)
 }
 
 /// Scale selector shared by all figure binaries: `--small` runs the
@@ -168,6 +197,20 @@ mod tests {
             assert!(err.contains(w.abbr()), "lists {}: {err}", w.abbr());
         }
         assert!(parse_workload_list("SCN,,MRQ").is_err());
+    }
+
+    #[test]
+    fn cpuinfo_counts_smt_siblings_once() {
+        let text = "\
+processor\t: 0\nphysical id\t: 0\ncore id\t: 0\nmodel name\t: Xeon X\n\n\
+processor\t: 1\nphysical id\t: 0\ncore id\t: 1\nmodel name\t: Xeon X\n\n\
+processor\t: 2\nphysical id\t: 0\ncore id\t: 0\nmodel name\t: Xeon X\n\n\
+processor\t: 3\nphysical id\t: 0\ncore id\t: 1\nmodel name\t: Xeon X\n";
+        assert_eq!(parse_cpuinfo(text), (4, 2, "Xeon X".to_string()));
+        assert_eq!(parse_cpuinfo(""), (0, 0, String::new()));
+        let host = host_json(1);
+        assert!(host.get("logical_cpus").unwrap().as_u64().unwrap() >= 1);
+        assert!(host.get("physical_cores").unwrap().as_u64().unwrap() >= 1);
     }
 
     #[test]

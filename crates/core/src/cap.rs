@@ -34,7 +34,8 @@ pub struct CapConfig {
     pub dist_entries: usize,
     /// Misprediction-counter threshold (prefetch shut-off).
     pub mispredict_threshold: u8,
-    /// Maximum coalesced lines a targeted load may produce.
+    /// Maximum coalesced lines a targeted load may produce; at most
+    /// [`MAX_BASE_ADDRS`], the capacity of an entry's base vector.
     pub max_target_lines: usize,
     /// Cache line size (for aligning generated addresses).
     pub line_size: u32,
@@ -76,7 +77,14 @@ impl CtaAwarePrefetcher {
     }
 
     /// Engine with explicit parameters (ablations).
+    ///
+    /// # Panics
+    /// If `cfg.max_target_lines` exceeds [`MAX_BASE_ADDRS`].
     pub fn with_config(cfg: CapConfig) -> Self {
+        assert!(
+            cfg.max_target_lines <= MAX_BASE_ADDRS,
+            "a PerCTA entry holds at most {MAX_BASE_ADDRS} base addresses"
+        );
         CtaAwarePrefetcher {
             tables: (0..cfg.cta_slots)
                 .map(|_| PerCtaTable::with_policy(cfg.per_cta_entries, cfg.lru_replacement))
@@ -138,7 +146,7 @@ impl CtaAwarePrefetcher {
                 continue;
             }
             let off = delta * (w as i64 - lead as i64);
-            for &base in &entry.bases {
+            for &base in entry.bases.iter() {
                 let addr = base as i64 + off;
                 if addr < 0 {
                     continue;
@@ -273,7 +281,7 @@ impl Prefetcher for CtaAwarePrefetcher {
             EntryState::Trailing => {
                 let (lead, bases, entry_iter) = {
                     let e = self.tables[slot].probe(pc).expect("trailing implies entry");
-                    (e.leading_warp, e.bases.clone(), e.iter)
+                    (e.leading_warp, e.bases, e.iter)
                 };
                 let dw = obs.warp_in_cta as i64 - lead as i64;
                 debug_assert!(dw != 0);

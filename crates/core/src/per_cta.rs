@@ -21,6 +21,42 @@ pub const MAX_BASE_ADDRS: usize = 4;
 /// Bytes of one PerCTA entry as specified in Table I.
 pub const PER_CTA_ENTRY_BYTES: usize = 4 + 1 + MAX_BASE_ADDRS * 4;
 
+/// A base-address vector of at most [`MAX_BASE_ADDRS`] lines, stored
+/// inline like the entry's fixed hardware field, so registering or
+/// copying one allocates nothing. Dereferences to the captured lines.
+#[derive(Debug, Clone, Copy)]
+pub struct BaseAddrs {
+    addrs: [Addr; MAX_BASE_ADDRS],
+    len: u8,
+}
+
+impl BaseAddrs {
+    /// Capture `lines`.
+    ///
+    /// # Panics
+    /// If `lines` holds more than [`MAX_BASE_ADDRS`] addresses.
+    pub fn new(lines: &[Addr]) -> Self {
+        assert!(
+            lines.len() <= MAX_BASE_ADDRS,
+            "a base-address vector holds at most {MAX_BASE_ADDRS} lines"
+        );
+        let mut addrs = [0; MAX_BASE_ADDRS];
+        addrs[..lines.len()].copy_from_slice(lines);
+        BaseAddrs {
+            addrs,
+            len: lines.len() as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for BaseAddrs {
+    type Target = [Addr];
+
+    fn deref(&self) -> &[Addr] {
+        &self.addrs[..self.len as usize]
+    }
+}
+
 /// One PerCTA entry: the base addresses a leading warp computed for one
 /// load PC.
 #[derive(Debug, Clone)]
@@ -30,7 +66,7 @@ pub struct PerCtaEntry {
     /// Warp (index within the CTA) that registered the bases.
     pub leading_warp: u32,
     /// Base line addresses captured from the leading warp (≤ 4).
-    pub bases: Vec<Addr>,
+    pub bases: BaseAddrs,
     /// Bitmask of warps (by index within the CTA) whose demand fetch for
     /// this PC was already observed — prefetching for them is pointless.
     pub demand_seen: u64,
@@ -162,7 +198,6 @@ impl PerCtaTable {
         iter: u32,
         warps_per_cta: u32,
     ) -> Option<&mut PerCtaEntry> {
-        debug_assert!(bases.len() <= MAX_BASE_ADDRS);
         debug_assert!(self.lookup(pc).is_none(), "insert over live entry");
         self.clock += 1;
         let clock = self.clock;
@@ -191,7 +226,7 @@ impl PerCtaTable {
         self.entries.push(PerCtaEntry {
             pc,
             leading_warp,
-            bases: bases.to_vec(),
+            bases: BaseAddrs::new(bases),
             demand_seen: 1u64 << leading_warp.min(63),
             iter,
             lru: clock,
@@ -221,8 +256,7 @@ impl PerCtaTable {
         if let Some(e) = self.lookup(pc) {
             let lead = e.leading_warp;
             let prev_mask = e.demand_seen;
-            e.bases.clear();
-            e.bases.extend_from_slice(bases);
+            e.bases = BaseAddrs::new(bases);
             e.demand_seen = 1u64 << lead.min(63);
             e.iter = iter;
             e.lru = clock;
@@ -324,7 +358,7 @@ mod tests {
         t.insert(0x40, 2, &[0x1000, 0x2000]);
         let e = t.lookup(0x40).unwrap();
         assert_eq!(e.leading_warp, 2);
-        assert_eq!(e.bases, vec![0x1000, 0x2000]);
+        assert_eq!(*e.bases, [0x1000, 0x2000]);
         assert!(e.demand_seen(2));
         assert!(!e.demand_seen(0));
     }
@@ -353,7 +387,7 @@ mod tests {
         t.lookup(0x40).unwrap().mark_demand(3);
         t.refresh(0x40, &[0x5000], 1);
         let e = t.lookup(0x40).unwrap();
-        assert_eq!(e.bases, vec![0x5000]);
+        assert_eq!(*e.bases, [0x5000]);
         assert!(e.demand_seen(1), "leading warp stays marked");
         assert!(
             !e.demand_seen(3),

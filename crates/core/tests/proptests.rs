@@ -88,7 +88,7 @@ proptest! {
         t.reset(CtaCoord::from_linear(0, 4));
         let e = t.insert(9, 1, &lines).expect("fits");
         prop_assert!(e.bases.len() <= MAX_BASE_ADDRS);
-        prop_assert_eq!(&e.bases, &lines);
+        prop_assert_eq!(&*e.bases, &lines[..]);
     }
 
     /// CAP end-to-end: for any multi-line affine load geometry, every

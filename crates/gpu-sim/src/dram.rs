@@ -181,30 +181,17 @@ impl DramChannel {
         line / ROW_BYTES
     }
 
-    /// Whether a [`Self::step`] at `now` would change channel state:
-    /// a completion matures, or some queued request's bank is ready so
-    /// FR-FCFS issues a command. Side-effect-free twin of `step` used by
-    /// the fast-forward probe.
-    pub fn can_progress(&self, now: Cycle) -> bool {
-        self.in_flight.iter().any(|&(t, _)| t <= now)
-            || self
-                .queue_bank
-                .iter()
-                .any(|&b| self.banks[b as usize].ready_at <= now)
+    /// Requests waiting in the FR-FCFS queue (not yet issued).
+    #[inline]
+    pub fn queued(&self) -> usize {
+        self.queue.len()
     }
 
-    /// Earliest future cycle at which this channel can make progress:
-    /// the next completion, or the next bank-ready time among queued
-    /// requests. `None` when the channel is empty. All returned cycles
-    /// are strictly greater than `now` whenever `can_progress(now)` is
-    /// false — the property the clock skip's liveness rests on.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let completion = self.in_flight.iter().map(|&(t, _)| t);
-        let bank_ready = self
-            .queue_bank
-            .iter()
-            .map(|&b| self.banks[b as usize].ready_at);
-        completion.chain(bank_ready).filter(|&t| t > now).min()
+    /// The channel's wake cycle: [`Self::step`] is a no-op before it
+    /// (`Cycle::MAX` when the channel is empty).
+    #[inline]
+    pub fn wake_at(&self) -> Cycle {
+        self.wake_at
     }
 
     /// Advance one core cycle: possibly start one request (FR-FCFS pick)
@@ -428,26 +415,25 @@ mod tests {
     }
 
     #[test]
-    fn progress_probe_and_next_event_bracket_the_step() {
+    fn wake_at_names_the_next_cycle_step_can_act() {
         let mut c = chan();
-        assert!(!c.can_progress(0), "empty channel is quiescent");
-        assert_eq!(c.next_event(0), None);
-        c.push(rd(0, 0));
-        assert!(c.can_progress(0), "fresh bank is ready");
         let mut done = Vec::new();
+        c.step(0, &mut done);
+        assert_eq!(c.wake_at(), Cycle::MAX, "empty channel sleeps");
+        c.push(rd(0, 0));
+        assert_eq!(c.wake_at(), 0, "a push onto a ready bank wakes it");
+        assert_eq!(c.queued(), 1);
         c.step(0, &mut done); // command issued, completion scheduled
         assert!(done.is_empty());
-        // In flight only: the probe is quiet until the data returns, and
-        // next_event names exactly that cycle.
-        assert!(!c.can_progress(1));
-        let t = c.next_event(1).expect("one completion pending");
-        assert!(t > 1);
-        assert!(!c.can_progress(t - 1));
-        assert!(c.can_progress(t));
+        assert_eq!(c.queued(), 0);
+        // In flight only: the channel sleeps until the data returns.
+        let t = c.wake_at();
+        assert!(t > 1 && t < Cycle::MAX);
+        c.step(t - 1, &mut done);
+        assert!(done.is_empty(), "a step before the wake cycle is a no-op");
         c.step(t, &mut done);
         assert_eq!(done.len(), 1);
-        assert!(!c.can_progress(t + 1));
-        assert_eq!(c.next_event(t + 1), None);
+        assert_eq!(c.wake_at(), Cycle::MAX);
     }
 
     #[test]

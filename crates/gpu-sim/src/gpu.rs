@@ -1,51 +1,49 @@
 //! Whole-GPU simulation loop: SMs, two interconnect networks, memory
 //! partitions, DRAM channels, and the CTA distributor.
 //!
-//! # The phase-split cycle engine
+//! # The wake-driven cycle loop
 //!
-//! A core cycle is executed as two parallel phases separated by a single
-//! barrier, plus a short serial tail (see DESIGN.md §9c/§9d):
+//! One sequential loop advances the machine a core cycle at a time. A
+//! cycle visits the components in a fixed order (DESIGN.md §9):
 //!
-//! 1. **SM-local phase** — per SM: drain that SM's reply links, deliver
-//!    fills, advance the pipeline (fetch/issue/execute/L1/prefetch), and
-//!    drain the SM's outbound queues into the worker's *staging ring* in
-//!    `(sm_id, queue order)`. SMs interact only through the
-//!    interconnect, so this phase is data parallel over SMs.
-//! 2. **Memory-local phase** — per DRAM channel: first claim staged
-//!    requests routed to the worker's channels (the fused injection —
-//!    every worker scans the full staged sequence read-only, so the
-//!    per-link send order is exactly the old serial phase's), then eject
-//!    requests into the channel's partitions, advance the channel, and
-//!    advance its partitions (L2/MSHR/FR-FCFS). Partitions sharing a
-//!    channel form one shard, so this phase is data parallel over
-//!    channels.
-//! 3. **Serial tail** — drain partition reply queues into the reply
-//!    networks in fixed partition order (the merge that keeps reply-link
-//!    packet order identical to sequential stepping), refill CTA slots,
-//!    merge the per-shard quiescence summaries, and clear the staging
-//!    rings.
+//! 1. **SMs**, ascending: step the SM's reply links and deliver up to
+//!    `icnt_bandwidth` fills from each (demand channel first), step the
+//!    SM's pipeline, and send up to `icnt_bandwidth` outbound requests
+//!    into the request links.
+//! 2. **DRAM channels**, ascending: step; completions are collected for
+//!    the partitions.
+//! 3. **Partitions**, ascending: step the partition's request links and
+//!    eject up to `icnt_bandwidth` requests from each (demand first)
+//!    while the partition has input credit, step the partition, and send
+//!    up to `icnt_bandwidth` replies per class into the reply links.
+//! 4. **CTA refill**, when a CTA completed this cycle.
 //!
-//! With `sim_threads > 1` the two phases fan out over a persistent
-//! [`ShardPool`] through [`ShardPool::run2`], which runs both phases in
-//! one dispatch with one internal barrier; each worker owns a disjoint
-//! set of SMs (resp. channels) *and their interconnect links and
-//! quiescence-cache entries*, so no shared mutable state exists inside a
-//! parallel phase — no locks, no atomics, and statistics live in
-//! per-component counters merged once at the end of the run. Staging
-//! rings are written by exactly one phase-1 worker and read (never
-//! mutated) by phase-2 workers across the barrier. Because the parallel
-//! engine runs the same phase bodies over the same disjoint state in the
-//! same per-shard order, its output is bit-identical to the sequential
-//! engine for every thread count (enforced by the differential suite).
+//! Every SM, reply-link pair, request-link pair and partition carries a
+//! wake cycle, and a DRAM channel its own `wake_at`; a cycle visits only
+//! the components that are due, in ascending id order within each class
+//! (one 64-bit due mask per 64 components), so every per-link send order
+//! and every [`Stats`] field is bit-identical to visiting all of them.
+//! A component whose step changes nothing but per-cycle stall counters
+//! is parked until its own next event (hit-pipe maturity, warp timers,
+//! prefetch age-out, the tenant throttle's next duty-cycle slot, a link
+//! arrival, a DRAM timer) or until an external event touches it (a fill,
+//! a CTA launch, a throttle change, an accepted request, a DRAM
+//! completion or freed DRAM queue slot). The stall counters of the
+//! cycles it sat out are charged once, through `account_skipped`, when
+//! it is next visited or when statistics are collected. When nothing is
+//! due, the clock jumps straight to the earliest wake cycle.
+//!
+//! Naive stepping (`fast_forward` off, or the `GPU_SIM_NO_SKIP`
+//! environment variable) visits every component every cycle; it is the
+//! reference the differential suites compare against.
 
 use crate::config::GpuConfig;
 use crate::cta_scheduler::CtaDistributor;
 use crate::dram::{DramChannel, DramRequest};
-use crate::interconnect::{Link, MemReply, MemRequest, Network};
+use crate::interconnect::{MemReply, MemRequest, Network};
 use crate::kernel::Kernel;
 use crate::partition::MemoryPartition;
-use crate::pool::ShardPool;
-use crate::port::{PortSnapshot, Ring};
+use crate::port::{Link, PortSnapshot};
 use crate::prefetch::PrefetcherFactory;
 use crate::sched::make_scheduler;
 use crate::sm::Sm;
@@ -56,6 +54,92 @@ use crate::types::{CtaCoord, Cycle, KernelId, MAX_TENANTS};
 /// Hard ceiling on simulated cycles; a run exceeding it returns what it
 /// has (mirrors the paper's one-billion-instruction cap).
 pub const DEFAULT_MAX_CYCLES: Cycle = 50_000_000;
+
+/// Wake bookkeeping of one component class, indexed by component id.
+#[derive(Debug)]
+struct Wakes {
+    /// Next cycle the component must be visited; `Cycle::MAX` when only
+    /// an external event can make it act again.
+    at: Vec<Cycle>,
+    /// First cycle the component has neither stepped nor been charged
+    /// for through `account_skipped`.
+    acct: Vec<Cycle>,
+}
+
+impl Wakes {
+    fn new(n: usize) -> Self {
+        Wakes {
+            at: vec![0; n],
+            acct: vec![0; n],
+        }
+    }
+
+    /// Pull component `i`'s visit forward to cycle `t` (no-op if it is
+    /// already due by then).
+    #[inline]
+    fn wake(&mut self, i: usize, t: Cycle) {
+        if t < self.at[i] {
+            self.at[i] = t;
+        }
+    }
+
+    /// Cycles of component `i` before `upto` not yet stepped or charged;
+    /// marks them charged.
+    #[inline]
+    fn settle(&mut self, i: usize, upto: Cycle) -> u64 {
+        let from = self.acct[i];
+        if from >= upto {
+            return 0;
+        }
+        self.acct[i] = upto;
+        upto - from
+    }
+}
+
+/// Bit `k` set iff `a[k] <= now` or `b[k] <= now` (at most 64 entries).
+#[inline]
+fn due_mask(a: &[Cycle], b: &[Cycle], now: Cycle) -> u64 {
+    debug_assert!(a.len() <= 64 && a.len() == b.len());
+    a.iter().zip(b).enumerate().fold(0, |m, (k, (&x, &y))| {
+        m | ((((x <= now) | (y <= now)) as u64) << k)
+    })
+}
+
+/// Bits `0..n` set (`n <= 64`).
+#[inline]
+fn full_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Next visit of a reply link after it stepped and delivered this cycle:
+/// the next cycle while messages wait in its eject queue, else its next
+/// pipe arrival.
+#[inline]
+fn reply_link_next(link: &Link<MemReply>, now: Cycle) -> Cycle {
+    if link.has_pending() {
+        now + 1
+    } else {
+        link.wake_at()
+    }
+}
+
+/// Next visit of a request link, given its partition's state after this
+/// cycle: the next cycle if its head can eject, the next pipe arrival
+/// while the eject queue has room, and otherwise never — the head and a
+/// full eject queue wait for the partition to free input credit, which
+/// re-evaluates this.
+#[inline]
+fn req_link_next(link: &Link<MemRequest>, part: &MemoryPartition, now: Cycle) -> Cycle {
+    match link.peek() {
+        Some(req) if part.can_accept(req.kind) => now + 1,
+        _ if link.has_room() => link.wake_at(),
+        _ => Cycle::MAX,
+    }
+}
 
 /// A complete GPU bound to one or more co-resident kernel contexts.
 pub struct Gpu {
@@ -84,544 +168,27 @@ pub struct Gpu {
     channels: Vec<DramChannel>,
     distributor: CtaDistributor,
     cycle: Cycle,
-    /// Per-channel DRAM completion scratch (a channel's completions only
-    /// ever target partitions mapped to it, so the scratch shards with
-    /// the channel).
-    dram_scratch: Vec<Vec<DramRequest>>,
-    /// Per-worker completed-CTA scratch; contents are only tested for
-    /// emptiness (the refill trigger), so per-shard collection needs no
-    /// merge step.
-    completed_shards: Vec<Vec<CtaCoord>>,
-    /// Per-worker staging rings for the fused injection: phase-1 worker
-    /// `w` drains its SMs' outbound queues here in `(sm_id, queue
-    /// order)`; phase-2 workers read every ring (in shard order, which
-    /// reconstructs the global serial order) and claim the requests
-    /// routed to their channels. Cleared serially at the end of the
-    /// cycle so a thread-count change can never resurrect stale entries.
-    staging: Vec<Ring<MemRequest>>,
-    /// Per-worker minimum of `sm_quiet_until` over the worker's shard,
-    /// written unconditionally by every phase-1 worker and merged into
-    /// [`Self::sm_quiet_min`] in the serial tail.
-    sm_shard_min: Vec<Cycle>,
-    /// Per-worker count of SMs skipped via the quiescence cache this
-    /// cycle (feeds the gate-benefit sample and the active-SM estimate).
-    sm_shard_skips: Vec<u64>,
-    /// Lazily-maintained machine-wide minimum of `sm_quiet_until`:
-    /// refreshed by the phase-1 merge each cycle and forced to 0 by every
-    /// site that zeroes cache entries outside phase 1 (CTA launches,
-    /// cache resets). Replaces the per-cycle full scan the horizon gate
-    /// used to run in `advance_until_done`.
-    sm_quiet_min: Cycle,
-    /// SMs not skipped as quiescent last cycle — the previous-cycle
-    /// activity estimate `plan_threads` consults instead of rescanning
-    /// the quiescence cache (host-side only; both engine choices are
-    /// bit-identical).
-    sm_active_estimate: usize,
-    /// Event-horizon fast-forward: when no component can make progress,
-    /// jump the clock to the next event instead of stepping cycle by
-    /// cycle. Statistics are bit-identical either way; disabled by the
-    /// `GPU_SIM_NO_SKIP` environment variable (or [`Self::set_fast_forward`]).
+    /// DRAM completions of the current cycle, from every channel.
+    dram_done: Vec<DramRequest>,
+    /// CTAs completed this cycle; only tested for emptiness (the refill
+    /// trigger).
+    completed: Vec<CtaCoord>,
+    /// Wake-driven stepping and clock jumps; when `false`, every
+    /// component steps every cycle. Statistics are bit-identical either
+    /// way; disabled by the `GPU_SIM_NO_SKIP` environment variable (or
+    /// [`Self::set_fast_forward`]).
     fast_forward: bool,
-    /// Cycles covered by horizon jumps (host diagnostics, not `Stats`).
+    /// Cycles covered by clock jumps (host diagnostics, not `Stats`).
     skipped_cycles: u64,
-    /// Number of horizon jumps taken.
+    /// Number of clock jumps taken.
     skip_events: u64,
-    /// Per-SM quiescence cache: SM `i` provably cannot make progress
-    /// before `sm_quiet_until[i]` unless an external event (a fill, a
-    /// CTA launch, a rebind) touches it first — each of those resets the
-    /// entry to 0. Lets the step loop replace a stalled SM's whole
-    /// pipeline walk with O(1) analytic stat accounting. The machine-wide
-    /// horizon gate aggregates these per-shard caches with a min scan.
-    sm_quiet_until: Vec<Cycle>,
-    /// Per-SM probe backoff: while an SM keeps answering "can progress",
-    /// probing it again every cycle is pure overhead (the answer is
-    /// almost always the same), so `sm_probe_at[i]` defers the next
-    /// `can_progress` probe and the SM is stepped directly in between —
-    /// exactly what naive stepping does, so this is bit-identical and
-    /// only delays quiescence *detection* by at most the backoff.
-    sm_probe_at: Vec<Cycle>,
-    /// Consecutive "active" probe answers per SM, exponent of the
-    /// backoff window (capped); reset by a "cannot progress" answer.
-    sm_probe_streak: Vec<u8>,
-    /// Per-partition twin of `sm_quiet_until`: reset whenever the
-    /// partition accepts a request, receives a DRAM fill, or its channel
-    /// steps (the only external ways a partition un-stalls).
-    part_quiet_until: Vec<Cycle>,
-    /// Per-partition probe backoff (twin of `sm_probe_at`): a partition
-    /// whose channel is active is probed every cycle otherwise, and its
-    /// `can_progress` walks the L2 tag store and MSHR file.
-    part_probe_at: Vec<Cycle>,
-    part_probe_streak: Vec<u8>,
-    /// Per-channel probe backoff: `DramChannel::can_progress` scans the
-    /// FR-FCFS queue, which a busy channel re-walks in `step` anyway.
-    ch_probe_at: Vec<Cycle>,
-    ch_probe_streak: Vec<u8>,
-    /// Per-channel twin: a channel's timers move only under its own
-    /// `step`, so the cache is reset only when a partition pushes a new
-    /// request into it.
-    ch_quiet_until: Vec<Cycle>,
-    /// Adaptive minimum-profitable-jump threshold (see
-    /// [`Self::MIN_PROFITABLE_SKIP_FLOOR`]): raised when probes keep
-    /// failing or jumps come up short, lowered again after long jumps.
-    min_profitable_skip: Cycle,
-    /// Consecutive-ish count of unprofitable probe outcomes feeding the
-    /// threshold backoff.
-    probe_debt: u32,
-    /// Skip-rate governor: while `true`, the fast-forward machinery
-    /// (quiescence caches, probes, horizon gate) is live; while `false`,
-    /// cycles step purely naively with zero fast-forward overhead.
-    /// Sampling windows measure the realized benefit and close the gate
-    /// for exponentially growing spans on workloads that never quiesce
-    /// (see [`Self::gate_boundary`]). Both modes account identical
-    /// statistics, so the governor cannot perturb results.
-    ff_gate_open: bool,
-    /// Cycle at which the current sampling window (gate open) or penalty
-    /// span (gate closed) ends.
-    gate_window_end: Cycle,
-    /// Length of the next penalty span; doubles after each consecutive
-    /// unprofitable sample up to [`Self::GATE_OFF_SPAN_CAP`].
-    gate_off_span: Cycle,
-    /// Benefit accumulated in the current sampling window, in units of
-    /// avoided SM steps (quiet-SM cycles plus machine-wide jump cycles
-    /// weighted by SM count).
-    gate_benefit: u64,
-    /// Requested intra-simulation worker count (1 = sequential engine).
-    sim_threads: usize,
-    /// Lazily-created persistent worker pool for the parallel phases.
-    pool: Option<ShardPool>,
-    /// Load-aware shard plan: `sm_plan[w]..sm_plan[w+1]` is worker `w`'s
-    /// SM range (contiguous, ascending, covering `0..num_sms`), rebuilt
-    /// from measured per-SM cost at rebalance boundaries. Contiguity in
-    /// ascending SM order is what keeps the staged-request sequence —
-    /// and therefore every per-link send order — identical to the
-    /// sequential engine for *any* plan.
-    sm_plan: Vec<usize>,
-    /// Per-SM host-cost accumulator for the current rebalance window,
-    /// written only by the phase-1 worker owning the SM (disjoint) and
-    /// read/zeroed serially at rebalance boundaries.
-    sm_cost: Vec<u64>,
-    /// Cycle at which the shard plan is next rebuilt from `sm_cost`.
-    next_rebalance: Cycle,
-    /// Rebalance period in simulated cycles ([`Self::REBALANCE_WINDOW`]
-    /// unless overridden for tests).
-    rebalance_window: Cycle,
-    /// Whether `ensure_workers` asks the pool to pin helper threads
-    /// (subject to the `GPU_SIM_NO_PIN` escape hatch inside the pool).
-    pin_workers: bool,
-    /// Measured round-trip cost of one empty pool dispatch, sampled when
-    /// the pool is (re)built; the adaptive controller's floor for when a
-    /// parallel cycle can possibly beat a sequential one.
-    pool_dispatch_ns: u64,
-    /// Measured-cost engine selection: when `true`, windows alternate
-    /// between the sequential and parallel engines based on observed
-    /// ns/cycle (see [`Self::adapt_boundary`]); when `false`,
-    /// `sim_threads` alone decides. Both engines are bit-identical, so
-    /// the selector can never perturb results. Default from
-    /// `GPU_SIM_ADAPT` (unset = on).
-    adaptive: bool,
-    /// The adaptive controller's current choice: `true` dispatches the
-    /// parallel phases (when `sim_threads` allows), `false` runs
-    /// sequentially. Starts `false` so the first window calibrates the
-    /// sequential baseline.
-    adapt_use_par: bool,
-    /// End of the current adaptive measurement window.
-    adapt_window_end: Cycle,
-    /// EMA of host nanoseconds per simulated cycle under each engine;
-    /// NaN until that engine has been measured.
-    adapt_seq_ns: f64,
-    adapt_par_ns: f64,
-    /// Wall-clock instant and simulated cycle at the start of the
-    /// current measurement window.
-    adapt_mark: Option<(std::time::Instant, Cycle)>,
-    /// Windows since the controller last switched engines; forces a
-    /// periodic re-probe of the unused engine so a stale measurement
-    /// cannot lock the choice forever.
-    adapt_windows_in_mode: u32,
-    /// Adaptive-controller lifetime counters for [`Self::adapt_report`]:
-    /// windows closed, windows that ran the parallel engine, and engine
-    /// switches. Host diagnostics, not part of [`Stats`].
-    adapt_windows: u64,
-    adapt_par_windows: u64,
-    adapt_switches: u64,
-}
-
-/// Cap on the per-SM probe-backoff exponent: an SM that keeps answering
-/// "can progress" is re-probed at most every `2^5 = 32` cycles, bounding
-/// both the probe overhead on compute-dense phases (~3%) and the delay
-/// before a freshly stalled SM is detected as quiescent.
-const MAX_PROBE_BACKOFF_LOG2: u8 = 5;
-
-/// Shard `w` of `t` over `n` items: the contiguous range
-/// `[w*n/t, (w+1)*n/t)`. Deterministic and independent of execution
-/// order; empty when `w >= t`.
-#[inline]
-fn shard_range(w: usize, n: usize, t: usize) -> std::ops::Range<usize> {
-    if w >= t {
-        return 0..0;
-    }
-    (w * n / t)..((w + 1) * n / t)
-}
-
-/// Build a load-balanced shard plan (boundary list of `t + 1` ascending
-/// cuts over `costs.len()` SMs) from per-SM cost samples: each SM gets
-/// weight `cost + 1` (the `+1` keeps zero-cost SMs from collapsing into
-/// one shard and makes the all-equal case reduce to the equal-count
-/// plan), and shard `s`'s boundary is cut at the first prefix whose
-/// weight reaches `s/t` of the total. Deterministic, contiguous, and
-/// ascending — the properties the fused-injection order proof needs —
-/// for every cost vector.
-fn plan_from_costs(costs: &[u64], t: usize) -> Vec<usize> {
-    let n = costs.len();
-    let mut bounds = vec![0usize; t + 1];
-    bounds[t] = n;
-    let total: u64 = costs.iter().map(|&c| c + 1).sum();
-    let mut acc = 0u64;
-    let mut shard = 1;
-    for (i, &c) in costs.iter().enumerate() {
-        acc += c + 1;
-        // At i == n-1, acc == total, so every remaining cut lands at n:
-        // the plan is always fully populated.
-        while shard < t && acc * (t as u64) >= total * (shard as u64) {
-            bounds[shard] = i + 1;
-            shard += 1;
-        }
-    }
-    bounds
-}
-
-/// Raw-pointer view of the SM-local phase state. Each worker touches
-/// only the SMs in its shard range plus exactly those SMs' reply links,
-/// quiescence-cache entries, and its own staging/completed/summary
-/// slots — disjoint by construction, which is what makes the `Sync`
-/// impl sound.
-struct SmPhase<'a> {
-    sms: *mut Sm,
-    reply: *mut Link<MemReply>,
-    pf_reply: *mut Link<MemReply>,
-    quiet: *mut Cycle,
-    probe_at: *mut Cycle,
-    probe_streak: *mut u8,
-    completed: *mut Vec<CtaCoord>,
-    /// Per-worker staging ring receiving the shard's outbound requests.
-    staging: *mut Ring<MemRequest>,
-    /// Per-worker quiescence-minimum slot (written unconditionally).
-    shard_min: *mut Cycle,
-    /// Per-worker quiet-skip count slot (written unconditionally).
-    shard_skips: *mut u64,
-    /// Shard-plan boundaries (`threads + 1` entries): worker `w` owns
-    /// SMs `plan[w]..plan[w+1]`. Read-only during the phase.
-    plan: *const usize,
-    /// Per-SM cost accumulators for the load-aware planner; entry `i` is
-    /// written only by the worker whose plan range contains `i`.
-    cost: *mut u64,
-    kernels: &'a [Kernel],
-    num_sms: usize,
-    threads: usize,
-    bw: u32,
-    fast_forward: bool,
-    now: Cycle,
-}
-
-// SAFETY: workers dereference disjoint indices (see `shard_range`); the
-// shared `kernels` slice is read-only. All pointed-to types are Send.
-unsafe impl Sync for SmPhase<'_> {}
-
-impl SmPhase<'_> {
-    /// Run the SM-local phase for shard `w`.
-    ///
-    /// # Safety
-    /// At most one concurrent caller per distinct `w`; pointers must be
-    /// valid for `num_sms` elements (`completed`, `staging`, `shard_min`
-    /// and `shard_skips` for `threads`).
-    unsafe fn run_shard(&self, w: usize) {
-        let completed = &mut *self.completed.add(w);
-        let stage = &mut *self.staging.add(w);
-        let mut local_min = Cycle::MAX;
-        let mut local_skips = 0u64;
-        let range = if w < self.threads {
-            *self.plan.add(w)..*self.plan.add(w + 1)
-        } else {
-            0..0
-        };
-        debug_assert!(range.end <= self.num_sms);
-        for i in range {
-            let sm = &mut *self.sms.add(i);
-            let quiet = &mut *self.quiet.add(i);
-            let link = &mut *self.reply.add(i);
-            let pf_link = &mut *self.pf_reply.add(i);
-
-            // 1a. Deliver fills: demand replies first, then the prefetch
-            // virtual channel.
-            link.step(self.now);
-            pf_link.step(self.now);
-            for _ in 0..self.bw {
-                match link.pop_one() {
-                    Some(reply) => {
-                        sm.on_fill(self.now, reply.line);
-                        *quiet = 0;
-                    }
-                    None => break,
-                }
-            }
-            for _ in 0..self.bw {
-                match pf_link.pop_one() {
-                    Some(reply) => {
-                        sm.on_fill(self.now, reply.line);
-                        *quiet = 0;
-                    }
-                    None => break,
-                }
-            }
-
-            // 1b. Pipeline. With fast-forward, an SM that provably cannot
-            // progress this cycle is not stepped: its per-cycle counters
-            // are accounted analytically and the verdict is cached until
-            // its own next event (external events reset the cache to 0).
-            // While probes keep answering "active", probing itself is the
-            // overhead (compute-dense SMs answer yes for thousands of
-            // cycles straight), so consecutive yes-answers back the next
-            // probe off exponentially and the SM is stepped directly in
-            // between — identical to naive stepping, so only quiescence
-            // *detection* is delayed, never the simulated outcome.
-            'pipeline: {
-                if self.fast_forward {
-                    if *quiet > self.now {
-                        sm.account_skipped(1);
-                        local_skips += 1;
-                        break 'pipeline;
-                    }
-                    let probe_at = &mut *self.probe_at.add(i);
-                    if self.now >= *probe_at {
-                        if !sm.can_progress(self.now, self.kernels) {
-                            *self.probe_streak.add(i) = 0;
-                            sm.account_skipped(1);
-                            *quiet = sm.next_event(self.now).unwrap_or(Cycle::MAX);
-                            break 'pipeline;
-                        }
-                        let streak = &mut *self.probe_streak.add(i);
-                        *probe_at = self.now + (1u64 << *streak);
-                        *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                    }
-                }
-                sm.step(self.now, self.kernels, completed);
-                // Load-aware planner sample: only stepped SMs cost real
-                // host time (skipped ones are O(1) accounting), and only
-                // the parallel engine consumes the plan, so the
-                // sequential hot path pays nothing here.
-                if self.threads > 1 {
-                    *self.cost.add(i) += sm.load_weight();
-                }
-            }
-
-            // 1c. Fused injection, producer half: drain the SM's
-            // outbound queues into this worker's staging ring, exactly
-            // as the old serial injection phase did — unconditionally,
-            // for every SM (a quiescent SM's outbound queues are
-            // provably empty, so the drain is a no-op there, but
-            // draining regardless makes the equivalence unconditional).
-            for _ in 0..self.bw {
-                let Some(req) = sm.pop_outbound() else { break };
-                stage.push_back(req);
-            }
-            local_min = local_min.min(*quiet);
-        }
-        *self.shard_min.add(w) = local_min;
-        *self.shard_skips.add(w) = local_skips;
-    }
-}
-
-/// Raw-pointer view of the memory-local phase state, sharded by DRAM
-/// channel. A worker that owns channel `c` also owns every partition
-/// with `p % num_channels == c`, those partitions' request links and
-/// quiescence entries, and the channel's completion scratch — again
-/// disjoint by construction. The staging rings are shared, but strictly
-/// read-only in this phase (phase 1 finished writing them before the
-/// barrier), and each staged request is claimed by exactly one worker
-/// because its destination partition maps to exactly one channel.
-struct MemPhase<'a> {
-    partitions: *mut MemoryPartition,
-    channels: *mut DramChannel,
-    req: *mut Link<MemRequest>,
-    pf_req: *mut Link<MemRequest>,
-    part_quiet: *mut Cycle,
-    part_probe_at: *mut Cycle,
-    part_probe_streak: *mut u8,
-    ch_quiet: *mut Cycle,
-    ch_probe_at: *mut Cycle,
-    ch_probe_streak: *mut u8,
-    scratch: *mut Vec<DramRequest>,
-    /// Phase-1 staging rings, read-only here (consumer half of the
-    /// fused injection).
-    staging: *const Ring<MemRequest>,
-    /// Number of staging rings phase 1 wrote this cycle.
-    num_sm_shards: usize,
-    cfg: &'a GpuConfig,
-    num_partitions: usize,
-    num_channels: usize,
-    threads: usize,
-    bw: u32,
-    /// Interconnect pipe latency, applied at injection.
-    latency: Cycle,
-    fast_forward: bool,
-    now: Cycle,
-}
-
-// SAFETY: as for `SmPhase` — the channel-group decomposition gives each
-// worker exclusive access to everything it dereferences mutably; the
-// staging rings are read-shared and the `cfg` reference is read-only.
-unsafe impl Sync for MemPhase<'_> {}
-
-impl MemPhase<'_> {
-    /// Run the memory-local phase for shard `w`.
-    ///
-    /// # Safety
-    /// At most one concurrent caller per distinct `w`; pointers must be
-    /// valid for their respective element counts; phase 1 must have
-    /// finished writing every staging ring (the pool barrier).
-    unsafe fn run_shard(&self, w: usize) {
-        let range = shard_range(w, self.num_channels, self.threads);
-
-        // Fused injection, consumer half (replaces the old serial
-        // phase 2): walk the complete staged sequence — (shard, position)
-        // order reconstructs the serial engine's (sm_id, queue order) —
-        // and claim only the requests routed to this worker's channels.
-        // Sends land `latency` cycles out, so they cannot interact with
-        // this cycle's link stepping below, exactly like the old
-        // pre-phase-3 serial injection.
-        if !range.is_empty() {
-            for s in 0..self.num_sm_shards {
-                let stage = &*self.staging.add(s);
-                for req in stage.iter() {
-                    let dst = self.cfg.partition_of(req.line);
-                    if !range.contains(&self.cfg.channel_of_partition(dst)) {
-                        continue;
-                    }
-                    let link = if req.kind.is_prefetch() {
-                        &mut *self.pf_req.add(dst)
-                    } else {
-                        &mut *self.req.add(dst)
-                    };
-                    link.send(self.now + self.latency, *req);
-                }
-            }
-        }
-
-        for c in range {
-            let ch = &mut *self.channels.add(c);
-            let ch_quiet = &mut *self.ch_quiet.add(c);
-            let scratch = &mut *self.scratch.add(c);
-
-            // 3a. Request networks → partitions (consumer-checked
-            // ejection; demand channel first).
-            let mut p = c;
-            while p < self.num_partitions {
-                let part = &mut *self.partitions.add(p);
-                let quiet = &mut *self.part_quiet.add(p);
-                for link in [&mut *self.req.add(p), &mut *self.pf_req.add(p)] {
-                    link.step(self.now);
-                    for _ in 0..self.bw {
-                        let Some(req) = link.peek() else {
-                            break;
-                        };
-                        if !part.can_accept(req.kind) {
-                            break;
-                        }
-                        let req = link.pop_one().expect("peeked");
-                        part.accept(self.now, req);
-                        *quiet = 0;
-                    }
-                }
-                p += self.num_channels;
-            }
-
-            // 3b. The DRAM channel advances; completions collect in the
-            // per-channel scratch. A channel whose probe says "nothing
-            // matures, no bank ready" would step as a pure no-op, so
-            // under fast-forward it is skipped outright until its own
-            // next timer — only a partition pushing a request can
-            // unquiesce it earlier, and that push resets the cache below.
-            scratch.clear();
-            let mut ch_stepped = false;
-            if self.fast_forward {
-                if *ch_quiet > self.now {
-                    // skip
-                } else {
-                    let probe_at = &mut *self.ch_probe_at.add(c);
-                    let mut progress = true;
-                    if self.now >= *probe_at {
-                        let streak = &mut *self.ch_probe_streak.add(c);
-                        if ch.can_progress(self.now) {
-                            *probe_at = self.now + (1u64 << *streak);
-                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                        } else {
-                            *streak = 0;
-                            *ch_quiet = ch.next_event(self.now).unwrap_or(Cycle::MAX);
-                            progress = false;
-                        }
-                    }
-                    if progress {
-                        ch.step(self.now, scratch);
-                        ch_stepped = true;
-                    }
-                }
-            } else {
-                ch.step(self.now, scratch);
-                ch_stepped = true;
-            }
-
-            // 3c. Partitions service inputs and emit replies. Under
-            // fast-forward a partition provably stalled until
-            // `part_quiet_until[p]` only accounts its per-cycle stall
-            // counter; the cache is reset on every event that can
-            // unblock it (an accepted request above, a DRAM fill, or any
-            // step of its channel — which can free queue space or MSHRs).
-            let mut p = c;
-            while p < self.num_partitions {
-                let part = &mut *self.partitions.add(p);
-                let quiet = &mut *self.part_quiet.add(p);
-                if self.fast_forward {
-                    if ch_stepped {
-                        *quiet = 0;
-                    }
-                    let has_fill =
-                        !scratch.is_empty() && scratch.iter().any(|r| r.partition == p);
-                    if !has_fill {
-                        if *quiet > self.now {
-                            part.account_skipped(1);
-                            p += self.num_channels;
-                            continue;
-                        }
-                        // The `can_progress` probe walks L2 tags and the
-                        // MSHR tables — comparable cost to the step it
-                        // would save. After a successful probe, step
-                        // blindly for a geometrically growing window
-                        // (stepping a stalled partition is stats-identical
-                        // to `account_skipped`, so this never changes
-                        // results, only delays quiescence detection).
-                        let probe_at = &mut *self.part_probe_at.add(p);
-                        if self.now >= *probe_at {
-                            if !part.can_progress(self.now, ch) {
-                                *self.part_probe_streak.add(p) = 0;
-                                part.account_skipped(1);
-                                *quiet = part.next_event(self.now).unwrap_or(Cycle::MAX);
-                                p += self.num_channels;
-                                continue;
-                            }
-                            let streak = &mut *self.part_probe_streak.add(p);
-                            *probe_at = self.now + (1u64 << *streak);
-                            *streak = (*streak + 1).min(MAX_PROBE_BACKOFF_LOG2);
-                        }
-                    }
-                }
-                let pending_before = ch.pending();
-                part.step(self.now, ch, scratch);
-                if ch.pending() != pending_before {
-                    *ch_quiet = 0;
-                }
-                p += self.num_channels;
-            }
-        }
-    }
+    sm_wake: Wakes,
+    /// Next visit of SM `i`'s two reply links (demand, prefetch).
+    reply_at: Vec<Cycle>,
+    /// Partition `p`'s two request links; `acct` tracks their stall
+    /// events.
+    req_wake: Wakes,
+    part_wake: Wakes,
 }
 
 impl Gpu {
@@ -653,34 +220,17 @@ impl Gpu {
         // ring's counted growth valve covers anything beyond.
         let demand_bound = cfg.l1d.mshr_entries as usize;
         let pf_bound = cfg.prefetch_queue_depth;
+        let latency = cfg.icnt_latency;
+        let depth = cfg.icnt_queue_depth;
         let req_net = Network::new(
             cfg.num_partitions,
-            cfg.icnt_latency,
-            cfg.icnt_queue_depth,
-            cfg.icnt_bandwidth,
+            latency,
+            depth,
             cfg.num_sms * demand_bound * 4,
         );
-        let pf_req_net = Network::new(
-            cfg.num_partitions,
-            cfg.icnt_latency,
-            cfg.icnt_queue_depth,
-            cfg.icnt_bandwidth,
-            cfg.num_sms * pf_bound,
-        );
-        let reply_net = Network::new(
-            cfg.num_sms,
-            cfg.icnt_latency,
-            cfg.icnt_queue_depth,
-            cfg.icnt_bandwidth,
-            demand_bound + pf_bound,
-        );
-        let pf_reply_net = Network::new(
-            cfg.num_sms,
-            cfg.icnt_latency,
-            cfg.icnt_queue_depth,
-            cfg.icnt_bandwidth,
-            demand_bound + pf_bound,
-        );
+        let pf_req_net = Network::new(cfg.num_partitions, latency, depth, cfg.num_sms * pf_bound);
+        let reply_net = Network::new(cfg.num_sms, latency, depth, demand_bound + pf_bound);
+        let pf_reply_net = Network::new(cfg.num_sms, latency, depth, demand_bound + pf_bound);
         let partitions = (0..cfg.num_partitions)
             .map(|id| MemoryPartition::new(id, &cfg))
             .collect();
@@ -690,7 +240,6 @@ impl Gpu {
         let distributor = CtaDistributor::new(kernel.num_ctas());
         let num_sms = cfg.num_sms;
         let num_partitions = cfg.num_partitions;
-        let num_channels = cfg.num_dram_channels;
         Gpu {
             cfg,
             kernels: vec![kernel],
@@ -706,160 +255,30 @@ impl Gpu {
             channels,
             distributor,
             cycle: 0,
-            dram_scratch: (0..num_channels).map(|_| Vec::new()).collect(),
-            completed_shards: vec![Vec::new()],
-            staging: Vec::new(),
-            sm_shard_min: Vec::new(),
-            sm_shard_skips: Vec::new(),
-            sm_quiet_min: 0,
-            sm_active_estimate: num_sms,
+            dram_done: Vec::new(),
+            completed: Vec::new(),
             fast_forward: std::env::var_os("GPU_SIM_NO_SKIP").is_none(),
             skipped_cycles: 0,
             skip_events: 0,
-            sm_quiet_until: vec![0; num_sms],
-            sm_probe_at: vec![0; num_sms],
-            sm_probe_streak: vec![0; num_sms],
-            part_quiet_until: vec![0; num_partitions],
-            part_probe_at: vec![0; num_partitions],
-            part_probe_streak: vec![0; num_partitions],
-            ch_quiet_until: vec![0; num_channels],
-            ch_probe_at: vec![0; num_channels],
-            ch_probe_streak: vec![0; num_channels],
-            min_profitable_skip: Self::MIN_PROFITABLE_SKIP_FLOOR,
-            probe_debt: 0,
-            ff_gate_open: true,
-            gate_window_end: Self::GATE_WINDOW,
-            gate_off_span: Self::GATE_WINDOW,
-            gate_benefit: 0,
-            sim_threads: threads_from_env(),
-            pool: None,
-            sm_plan: vec![0, num_sms],
-            sm_cost: vec![0; num_sms],
-            next_rebalance: Self::REBALANCE_WINDOW,
-            rebalance_window: Self::REBALANCE_WINDOW,
-            pin_workers: true,
-            pool_dispatch_ns: 0,
-            adaptive: adaptive_from_env(),
-            adapt_use_par: false,
-            adapt_window_end: 0,
-            adapt_seq_ns: f64::NAN,
-            adapt_par_ns: f64::NAN,
-            adapt_mark: None,
-            adapt_windows_in_mode: 0,
-            adapt_windows: 0,
-            adapt_par_windows: 0,
-            adapt_switches: 0,
+            sm_wake: Wakes::new(num_sms),
+            reply_at: vec![0; num_sms],
+            req_wake: Wakes::new(num_partitions),
+            part_wake: Wakes::new(num_partitions),
         }
     }
 
-    /// Simulated cycles covered by horizon jumps and the number of
-    /// jumps taken (host-side diagnostics; not part of [`Stats`]).
+    /// Simulated cycles covered by clock jumps and the number of jumps
+    /// taken (host-side diagnostics; not part of [`Stats`]).
     pub fn skip_counters(&self) -> (u64, u64) {
         (self.skipped_cycles, self.skip_events)
     }
 
-    /// Enable or disable event-horizon fast-forward in-process (tests
-    /// use this to compare against naive stepping without touching the
+    /// Enable or disable wake-driven stepping in-process (tests use this
+    /// to compare against naive stepping without touching the
     /// environment).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-        self.reset_quiescence_caches();
-        self.min_profitable_skip = Self::MIN_PROFITABLE_SKIP_FLOOR;
-        self.probe_debt = 0;
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
-    }
-
-    /// Zero every per-component quiescence cache and probe-backoff entry
-    /// (required whenever they may have gone stale: a mode switch, a
-    /// kernel rebind, or the skip-rate gate reopening after a span of
-    /// naive stepping during which nothing maintained them).
-    fn reset_quiescence_caches(&mut self) {
-        self.sm_quiet_until.fill(0);
-        self.sm_quiet_min = 0;
-        self.sm_active_estimate = self.cfg.num_sms;
-        self.sm_probe_at.fill(0);
-        self.sm_probe_streak.fill(0);
-        self.part_quiet_until.fill(0);
-        self.part_probe_at.fill(0);
-        self.part_probe_streak.fill(0);
-        self.ch_quiet_until.fill(0);
-        self.ch_probe_at.fill(0);
-        self.ch_probe_streak.fill(0);
-    }
-
-    /// Set the intra-simulation worker count (1 = the sequential
-    /// engine). Output is bit-identical for every value; `n` only
-    /// changes host-side execution. Defaults to `GPU_SIM_THREADS`
-    /// (forced to 1 by `GPU_SIM_SEQ=1`).
-    pub fn set_sim_threads(&mut self, n: usize) {
-        let n = n.max(1);
-        if n != self.sim_threads {
-            self.sim_threads = n;
-            self.pool = None; // re-created at the right width on demand
-        }
-    }
-
-    /// The configured intra-simulation worker count.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Enable or disable the measured-cost seq-vs-par engine selector.
-    /// Host-side only: both engines are bit-identical, so this cannot
-    /// change results — benches disable it to measure the pure parallel
-    /// engine. Resets the controller's measurements.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-        self.adapt_use_par = false;
-        self.adapt_window_end = self.cycle;
-        self.adapt_seq_ns = f64::NAN;
-        self.adapt_par_ns = f64::NAN;
-        self.adapt_mark = None;
-        self.adapt_windows_in_mode = 0;
-    }
-
-    /// Whether the adaptive engine selector is live.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Enable or disable pinning of pool helper threads to CPUs (still
-    /// subject to the `GPU_SIM_NO_PIN` escape hatch). Rebuilds the pool
-    /// on the next parallel cycle so the change takes effect.
-    pub fn set_pinning(&mut self, on: bool) {
-        if self.pin_workers != on {
-            self.pin_workers = on;
-            self.pool = None;
-        }
-    }
-
-    /// Override the shard-plan rebalance period (simulated cycles). The
-    /// next rebalance is scheduled `window` cycles from now.
-    pub fn set_shard_rebalance_window(&mut self, window: Cycle) {
-        self.rebalance_window = window.max(1);
-        self.next_rebalance = self.cycle + self.rebalance_window;
-    }
-
-    /// Install an explicit shard plan (boundary list, `len == t + 1`
-    /// where `t = sim_threads.min(num_sms)`, starting at 0, ending at
-    /// `num_sms`, non-decreasing). The plan persists until the next
-    /// rebalance boundary replaces it with a measured one — differential
-    /// tests use this to force skewed shard loads. Panics on malformed
-    /// plans.
-    pub fn set_shard_plan(&mut self, plan: Vec<usize>) {
-        let t = self.sim_threads.min(self.cfg.num_sms).max(1);
-        assert_eq!(plan.len(), t + 1, "plan must have one boundary per shard edge");
-        assert_eq!(plan[0], 0, "plan must start at SM 0");
-        assert_eq!(*plan.last().unwrap(), self.cfg.num_sms, "plan must cover every SM");
-        assert!(
-            plan.windows(2).all(|w| w[0] <= w[1]),
-            "plan boundaries must be non-decreasing"
-        );
-        self.sm_plan = plan;
-        self.sm_cost.fill(0);
+        self.wake_all();
     }
 
     /// Current simulated cycle.
@@ -883,6 +302,7 @@ impl Gpu {
         assert!(launches > 0);
         for _ in 0..launches {
             self.distributor = CtaDistributor::new(self.kernels[0].num_ctas());
+            self.wake_all();
             self.initial_fill();
             self.advance_until_done(max_cycles);
             if self.cycle >= max_cycles {
@@ -922,9 +342,9 @@ impl Gpu {
     ///
     /// With a single tenant and any policy this is bit-identical to
     /// [`Self::run_launches`]`(1, _)`: tenant 0's address/PC offsets are
-    /// the identity and the dispatch paths coincide. All three engines
-    /// (naive, fast-forward, parallel) agree bit-identically on both
-    /// `Stats` and the per-tenant `KernelStats` under every policy.
+    /// the identity and the dispatch paths coincide. Naive and
+    /// wake-driven stepping agree bit-identically on both `Stats` and
+    /// the per-tenant `KernelStats` under every policy.
     ///
     /// # Panics
     /// If `kernels` is empty or longer than [`MAX_TENANTS`], or the GPU
@@ -940,6 +360,7 @@ impl Gpu {
         }
         let mut state = TenantState::new(kernels, policy);
         state.throttling = self.tenant_throttling;
+        self.wake_all();
         self.kernels = kernels.to_vec();
         for sm in &mut self.sms {
             sm.rebind_shared(&self.kernels);
@@ -955,11 +376,6 @@ impl Gpu {
         // Legacy dispatch is inert in tenant mode; the per-tenant
         // distributors drive the grid.
         self.distributor = CtaDistributor::new(0);
-        self.reset_quiescence_caches();
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
         self.tenants = Some(state);
         self.tenant_window_end = self.cycle + TENANT_WINDOW;
         self.tenant_initial_fill();
@@ -983,203 +399,99 @@ impl Gpu {
     }
 
     /// Drive the clock until the bound kernel drains or `max_cycles`
-    /// elapse. With fast-forward enabled, cycles in which no component
-    /// can make progress are skipped in one hop to the event horizon —
-    /// the earliest future cycle at which anything can happen — with the
-    /// per-cycle statistics those naive steps would have accumulated
-    /// accounted analytically. The resulting [`Stats`] are bit-identical
-    /// to naive stepping.
+    /// elapse. When no component is due, the clock jumps to the earliest
+    /// wake cycle — clamped to the next interference-monitor boundary, so
+    /// throttle updates land at the same cycle as under naive stepping,
+    /// and to `max_cycles`, so a deadlocked configuration ends where the
+    /// naive loop would spin to.
     fn advance_until_done(&mut self, max_cycles: Cycle) {
         while !self.done() && self.cycle < max_cycles {
             let now = self.cycle;
-            // Machine-wide quiescence requires every SM quiescent, so the
-            // cheap per-SM cache gates the full probe. The cached
-            // machine-wide minimum `sm_quiet_min` — refreshed by the
-            // phase-1 merge and forced to 0 by every out-of-phase cache
-            // reset — replaces the full `sm_quiet_until` scan this loop
-            // used to run every cycle: in busy phases the per-cycle gate
-            // overhead is now O(1). The minimum is an upper bound on how
-            // far a skip could jump (the horizon takes the min over
-            // these and more). When that bound is under
-            // `min_profitable_skip`, the `can_progress` probe plus the
-            // `horizon` walk would cost more host time than the handful
-            // of simulated cycles they could skip, so short gaps are
-            // stepped naively. Both paths account identical statistics,
-            // so neither the backoff nor its adaptation can perturb
-            // results.
             if now >= self.tenant_window_end {
                 self.tenant_boundary(now);
             }
-            if self.adaptive && self.sim_threads > 1 && now >= self.adapt_window_end {
-                self.adapt_boundary(now);
-            }
             if self.fast_forward {
-                if now >= self.gate_window_end {
-                    self.gate_boundary(now);
-                }
-                if self.ff_gate_open {
-                    let min_quiet = self.sm_quiet_min;
-                    if min_quiet > now && min_quiet - now >= self.min_profitable_skip {
-                        if !self.can_progress(now) {
-                            // Nothing can happen before the horizon. `None`
-                            // means a deadlocked configuration: jump straight
-                            // to the cap, exactly as the naive loop would
-                            // spin to it.
-                            // In tenant mode, jumps clamp to the next
-                            // interference-monitor boundary so throttle
-                            // updates land at the same simulated cycle
-                            // under every engine.
-                            let target = self
-                                .horizon(now)
-                                .unwrap_or(max_cycles)
-                                .min(max_cycles)
-                                .min(self.tenant_window_end);
-                            debug_assert!(target > now, "horizon must be in the future");
-                            let delta = target - now;
-                            self.skip_to(now, target);
-                            self.tune_after_jump(delta);
-                            self.gate_benefit +=
-                                delta.saturating_mul(self.cfg.num_sms as u64);
-                            continue;
-                        }
-                        // The cached bound over-promised: the probe found a
-                        // progressing component, so its cost bought nothing.
-                        self.tune_after_wasted_probe();
-                    }
+                let next = self.next_wake();
+                if next > now {
+                    let target = next.min(max_cycles).min(self.tenant_window_end);
+                    self.skipped_cycles += target - now;
+                    self.skip_events += 1;
+                    self.cycle = target;
+                    continue;
                 }
             }
             self.step();
         }
     }
 
-    /// Sampling window for the skip-rate governor, in simulated cycles.
-    const GATE_WINDOW: Cycle = 1024;
-    /// Longest span the gate stays closed before re-sampling. Bounds the
-    /// skips forfeited when a closed-gate workload suddenly quiesces.
-    const GATE_OFF_SPAN_CAP: Cycle = 8192;
-
-    /// Close of a governor window at cycle `now`. After a sampling
-    /// window, the gate stays open only if fast-forward actually avoided
-    /// substantial work — at least a quarter of the window's SM steps
-    /// (quiet-SM cycles plus jump cycles × SM count). The bar is set
-    /// deliberately high: short quiet spells barely pay for the probe
-    /// and horizon computation that discovered them (a stalled SM's
-    /// naive step is itself cheap), so marginal quiescence is not worth
-    /// the machinery — the big wins come from long stalls and
-    /// machine-wide jumps, which clear a quarter easily. A workload
-    /// that never quiesces substantially (e.g. a compute-dense matrix
-    /// multiply under an effective prefetcher) fails the bar, and
-    /// subsequent cycles run purely naive
-    /// — no scans, no probes — for exponentially growing spans, so the
-    /// steady-state overhead decays toward zero. After a penalty span
-    /// the gate reopens for one sampling window with freshly zeroed
-    /// quiescence caches (they went stale while nothing maintained them).
-    fn gate_boundary(&mut self, now: Cycle) {
-        if self.ff_gate_open {
-            let threshold = (self.cfg.num_sms as u64) * Self::GATE_WINDOW / 4;
-            if self.gate_benefit < threshold {
-                self.ff_gate_open = false;
-                self.gate_window_end = now + self.gate_off_span;
-                self.gate_off_span = (self.gate_off_span * 2).min(Self::GATE_OFF_SPAN_CAP);
-            } else {
-                self.gate_off_span = Self::GATE_WINDOW;
-                self.gate_window_end = now + Self::GATE_WINDOW;
+    /// Earliest cycle at which any component is due (the current cycle
+    /// as soon as one is).
+    fn next_wake(&self) -> Cycle {
+        let now = self.cycle;
+        let mut next = Cycle::MAX;
+        let wakes = self
+            .sm_wake
+            .at
+            .iter()
+            .chain(&self.part_wake.at)
+            .chain(&self.reply_at)
+            .chain(&self.req_wake.at)
+            .copied()
+            .chain(self.channels.iter().map(DramChannel::wake_at));
+        for t in wakes {
+            if t <= now {
+                return now;
             }
-        } else {
-            self.ff_gate_open = true;
-            self.reset_quiescence_caches();
-            self.gate_window_end = now + Self::GATE_WINDOW;
+            next = next.min(t);
         }
-        self.gate_benefit = 0;
+        next
     }
 
-    /// Measurement window of the adaptive engine selector, in simulated
-    /// cycles. Long enough that one pool dispatch per cycle amortises
-    /// into a stable ns/cycle sample, short enough to catch phase
-    /// changes (CTA waves, drain tails) within a few windows.
-    const ADAPT_WINDOW: Cycle = 4096;
-    /// Windows spent in one engine before the other is force-probed:
-    /// workload phases change (a quiet drain tail follows a busy wave),
-    /// so a measurement must not lock the choice forever.
-    const ADAPT_REPROBE_WINDOWS: u32 = 16;
-
-    /// Close of an adaptive measurement window at cycle `now`: fold the
-    /// window's measured ns/cycle into the current engine's EMA, then
-    /// choose the engine for the next window. Decision order: calibrate
-    /// the sequential baseline first; stay sequential while the
-    /// previous window's active-SM estimate says the machine is nearly
-    /// idle (a barrier over one busy SM is pure loss) or while a whole
-    /// sequential cycle costs less than the measured pool dispatch
-    /// alone (the parallel engine cannot win even with free shards);
-    /// otherwise probe, then pick the measured argmin with hysteresis.
-    /// Purely host-time scheduling — both engines are bit-identical.
-    fn adapt_boundary(&mut self, now: Cycle) {
-        let t_now = std::time::Instant::now();
-        if let Some((mark, start_cycle)) = self.adapt_mark {
-            let cycles = now.saturating_sub(start_cycle).max(1);
-            let ns = t_now.duration_since(mark).as_nanos() as f64 / cycles as f64;
-            let slot = if self.adapt_use_par {
-                &mut self.adapt_par_ns
-            } else {
-                &mut self.adapt_seq_ns
-            };
-            *slot = if slot.is_nan() { ns } else { 0.5 * *slot + 0.5 * ns };
+    /// Charge every component's unstepped cycles up to the current cycle
+    /// and make everything due now: required before state changes made
+    /// outside the cycle loop (CTA fills, kernel rebinds, a mode switch).
+    fn wake_all(&mut self) {
+        self.settle_all();
+        let now = self.cycle;
+        for at in [
+            &mut self.sm_wake.at,
+            &mut self.reply_at,
+            &mut self.req_wake.at,
+            &mut self.part_wake.at,
+        ] {
+            at.fill(now);
         }
-        self.adapt_windows_in_mode += 1;
-        let seq = self.adapt_seq_ns;
-        let par = self.adapt_par_ns;
-        let dispatch_floor = self.pool_dispatch_ns as f64 * 1.25;
-        let next_par = if seq.is_nan()
-            || self.sm_active_estimate < 2
-            || (self.pool_dispatch_ns > 0 && seq <= dispatch_floor)
-        {
-            false
-        } else if par.is_nan() {
-            true
-        } else if self.adapt_windows_in_mode >= Self::ADAPT_REPROBE_WINDOWS {
-            !self.adapt_use_par
-        } else if self.adapt_use_par {
-            // Hysteresis: hold the current engine unless the other is
-            // clearly (>10%) cheaper, so noise cannot cause thrashing.
-            seq >= par * 0.9
-        } else {
-            par < seq * 0.9
-        };
-        if next_par != self.adapt_use_par {
-            self.adapt_windows_in_mode = 0;
-            self.adapt_switches += 1;
-        }
-        self.adapt_windows += 1;
-        if next_par {
-            self.adapt_par_windows += 1;
-        }
-        self.adapt_use_par = next_par;
-        self.adapt_mark = Some((t_now, now));
-        self.adapt_window_end = now + Self::ADAPT_WINDOW;
     }
 
-    /// The adaptive engine selector's measured ns-per-cycle EMAs and
-    /// window/switch counters. Host-side diagnostics only — like
-    /// [`Self::link_report`], *not* part of the bit-identity contract.
-    pub fn adapt_report(&self) -> AdaptReport {
-        let clean = |x: f64| if x.is_nan() { 0.0 } else { x };
-        AdaptReport {
-            seq_ns_per_cycle: clean(self.adapt_seq_ns),
-            par_ns_per_cycle: clean(self.adapt_par_ns),
-            windows: self.adapt_windows,
-            par_windows: self.adapt_par_windows,
-            switches: self.adapt_switches,
+    /// Charge every component's unstepped cycles before the current
+    /// cycle through `account_skipped`.
+    fn settle_all(&mut self) {
+        let now = self.cycle;
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            let skipped = self.sm_wake.settle(i, now);
+            sm.account_skipped(skipped);
+        }
+        for (p, part) in self.partitions.iter_mut().enumerate() {
+            let skipped = self.part_wake.settle(p, now);
+            part.account_skipped(skipped);
+            let from = self.req_wake.acct[p];
+            self.req_net.link(p).account_skipped(from, now);
+            self.pf_req_net.link(p).account_skipped(from, now);
+            self.req_wake.acct[p] = self.req_wake.acct[p].max(now);
         }
     }
 
     /// Close of an interference-monitor window at cycle `now`: attribute
     /// the window's L2 misses to tenants via the tags every request
     /// carries, let the monitor pick throttle levels, and install them
-    /// on every SM. Decisions read only bit-identical simulated
-    /// counters, and fast-forward jumps clamp to these boundaries, so
-    /// all three engines throttle identically.
+    /// on every SM. Decisions read only simulated counters that naive
+    /// and wake-driven stepping keep identical, and clock jumps clamp to
+    /// these boundaries, so both throttle identically.
     fn tenant_boundary(&mut self, now: Cycle) {
-        let mut ts = self.tenants.take().expect("tenant boundary without tenants");
+        let mut ts = self
+            .tenants
+            .take()
+            .expect("tenant boundary without tenants");
         let mut misses = [0u64; MAX_TENANTS];
         for p in &self.partitions {
             for (m, &pm) in misses.iter_mut().zip(&p.stats.misses_by_kernel) {
@@ -1197,8 +509,9 @@ impl Gpu {
         }
         let levels = ts.monitor.on_window(misses, contending);
         if ts.throttling {
-            for sm in &mut self.sms {
+            for (i, sm) in self.sms.iter_mut().enumerate() {
                 sm.set_throttle(levels);
+                self.sm_wake.wake(i, now);
             }
         }
         self.tenants = Some(ts);
@@ -1222,7 +535,6 @@ impl Gpu {
                     for (sm, cta) in plan {
                         let coord = ctx.kernel.cta_coord(cta);
                         self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        self.sm_quiet_until[sm] = 0;
                         ctx.start_cycle.get_or_insert(now);
                     }
                 }
@@ -1236,7 +548,6 @@ impl Gpu {
                         let sm = range.start + sm;
                         let coord = ctx.kernel.cta_coord(cta);
                         self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        self.sm_quiet_until[sm] = 0;
                         ctx.start_cycle.get_or_insert(now);
                     }
                 }
@@ -1256,21 +567,18 @@ impl Gpu {
                         }
                         let coord = ctx.kernel.cta_coord(cta);
                         self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        self.sm_quiet_until[sm] = 0;
                         ctx.start_cycle.get_or_insert(now);
                     }
                 }
             }
         }
         self.tenants = Some(ts);
-        self.sm_quiet_min = 0;
-        self.sm_active_estimate = num_sms;
     }
 
-    /// Demand-driven refill in tenant mode, run in the serial tail when
-    /// any CTA completed this cycle: record tenant finish times, then
-    /// hand freed slots to the policy's eligible tenants in fixed
-    /// (SM, tenant) order — deterministic, so bit-identical everywhere.
+    /// Demand-driven refill in tenant mode, run at the end of a cycle in
+    /// which a CTA completed: record tenant finish times, then hand freed
+    /// slots to the policy's eligible tenants in fixed (SM, tenant) order
+    /// — deterministic, so bit-identical everywhere.
     fn refill_tenants(&mut self) {
         let mut ts = self.tenants.take().expect("tenant refill without tenants");
         let now = self.cycle;
@@ -1289,21 +597,17 @@ impl Gpu {
                 ctx.finish_cycle = Some(now);
             }
         }
-        let mut launched = false;
         match ts.policy {
             Partitioning::Exclusive => {
                 if let Some(t) = ts.active_exclusive() {
                     let ctx = &mut ts.ctxs[t];
-                    for (i, sm) in self.sms.iter_mut().enumerate() {
-                        while sm.has_free_cta_slot() {
+                    for i in 0..num_sms {
+                        while self.sms[i].has_free_cta_slot() {
                             let Some(id) = ctx.distributor.next_cta() else {
                                 break;
                             };
-                            let coord = ctx.kernel.cta_coord(id);
-                            sm.launch_cta(coord, t as KernelId, &ctx.kernel);
+                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
-                            self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
@@ -1313,44 +617,45 @@ impl Gpu {
                     let range = ts.sm_range(t, num_sms);
                     let ctx = &mut ts.ctxs[t];
                     for i in range {
-                        let sm = &mut self.sms[i];
-                        while sm.has_free_cta_slot() {
+                        while self.sms[i].has_free_cta_slot() {
                             let Some(id) = ctx.distributor.next_cta() else {
                                 break;
                             };
-                            let coord = ctx.kernel.cta_coord(id);
-                            sm.launch_cta(coord, t as KernelId, &ctx.kernel);
+                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
-                            self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
             }
             Partitioning::Shared => {
                 let quota = (self.sms[0].resident_cta_cap() / ts.ctxs.len()).max(1);
-                for (i, sm) in self.sms.iter_mut().enumerate() {
+                for i in 0..num_sms {
                     for (t, ctx) in ts.ctxs.iter_mut().enumerate() {
-                        while sm.has_free_cta_slot()
-                            && sm.resident_ctas_of(t as KernelId) < quota
+                        while self.sms[i].has_free_cta_slot()
+                            && self.sms[i].resident_ctas_of(t as KernelId) < quota
                         {
                             let Some(id) = ctx.distributor.next_cta() else {
                                 break;
                             };
-                            let coord = ctx.kernel.cta_coord(id);
-                            sm.launch_cta(coord, t as KernelId, &ctx.kernel);
+                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
                             ctx.start_cycle.get_or_insert(now);
-                            self.sm_quiet_until[i] = 0;
-                            launched = true;
                         }
                     }
                 }
             }
         }
         self.tenants = Some(ts);
-        if launched {
-            self.sm_quiet_min = 0;
-        }
+    }
+
+    /// Launch a CTA on SM `i` at the end of the current cycle, after the
+    /// SM's slot in it: the SM is charged its unstepped cycles through
+    /// this one under its pre-launch state, then steps next cycle.
+    fn launch_in_tail(&mut self, i: usize, coord: CtaCoord, tenant: usize, kernel: &Kernel) {
+        let now = self.cycle;
+        let skipped = self.sm_wake.settle(i, now + 1);
+        self.sms[i].account_skipped(skipped);
+        self.sms[i].launch_cta(coord, tenant as KernelId, kernel);
+        self.sm_wake.wake(i, now + 1);
     }
 
     /// Aggregate each tenant's side counters (SM, L2, DRAM) and lifetime
@@ -1380,185 +685,14 @@ impl Gpu {
         out
     }
 
-    /// Shard-plan rebalance period in simulated cycles. Plans are
-    /// rebuilt only at these boundaries, in the serial tail, from cost
-    /// counters each phase-1 worker accumulated over its own SMs — the
-    /// rebuild is host-side scheduling and cannot perturb results.
-    const REBALANCE_WINDOW: Cycle = 4096;
-
-    /// Smallest estimated jump worth the fast-forward machinery, and the
-    /// initial value of the adaptive threshold. Tuned on SCN
-    /// (compute-bound, short quiescent gaps between execution timers),
-    /// where probing every 1–3-cycle gap made fast-forward a net loss.
-    const MIN_PROFITABLE_SKIP_FLOOR: Cycle = 8;
-    /// Upper bound for the adaptive threshold: backing off further would
-    /// forfeit genuinely long jumps.
-    const MIN_PROFITABLE_SKIP_CEIL: Cycle = 256;
-    /// Unprofitable probe outcomes tolerated before the threshold
-    /// doubles.
-    const PROBE_DEBT_LIMIT: u32 = 16;
-
-    /// Adapt the skip threshold after a realized jump of `delta` cycles:
-    /// long jumps pay for their probes (relax the threshold back toward
-    /// the floor); short jumps barely break even (treat like a wasted
-    /// probe). Purely a host-time heuristic — both stepping modes
-    /// account identical statistics.
-    fn tune_after_jump(&mut self, delta: Cycle) {
-        if delta >= 4 * self.min_profitable_skip {
-            self.min_profitable_skip =
-                (self.min_profitable_skip / 2).max(Self::MIN_PROFITABLE_SKIP_FLOOR);
-            self.probe_debt = self.probe_debt.saturating_sub(1);
-        } else if delta < 2 * self.min_profitable_skip {
-            self.bump_probe_debt();
-        }
-    }
-
-    /// Adapt the skip threshold after a probe that found progress (the
-    /// quiescence bound over-promised): enough of these in a row and the
-    /// gate demands longer estimated jumps before probing again.
-    fn tune_after_wasted_probe(&mut self) {
-        self.bump_probe_debt();
-    }
-
-    fn bump_probe_debt(&mut self) {
-        self.probe_debt += 1;
-        if self.probe_debt >= Self::PROBE_DEBT_LIMIT {
-            self.probe_debt = 0;
-            self.min_profitable_skip =
-                (self.min_profitable_skip * 2).min(Self::MIN_PROFITABLE_SKIP_CEIL);
-        }
-    }
-
-    /// Whether a [`Self::step`] at `now` would change any state anywhere
-    /// in the machine. Ordered cheapest-first; each arm mirrors one step
-    /// phase. Over-approximation (a `true` for a no-op cycle) is safe —
-    /// it merely steps naively; `false` must be exact.
-    fn can_progress(&self, now: Cycle) -> bool {
-        // DRAM: a completion matures or a bank can issue a command.
-        if self
-            .channels
-            .iter()
-            .zip(&self.ch_quiet_until)
-            .any(|(c, &quiet)| quiet <= now && c.can_progress(now))
-        {
-            return true;
-        }
-        // Networks: an arrival can move into an ejection queue.
-        if self.reply_net.can_deliver(now)
-            || self.pf_reply_net.can_deliver(now)
-            || self.req_net.can_deliver(now)
-            || self.pf_req_net.can_deliver(now)
-        {
-            return true;
-        }
-        // Reply ejection queues drain unconditionally (SMs always take
-        // fills).
-        if self.reply_net.has_ejected() || self.pf_reply_net.has_ejected() {
-            return true;
-        }
-        // Request ejection heads move only if their partition has input
-        // space for them.
-        for p in 0..self.cfg.num_partitions {
-            if self
-                .req_net
-                .peek(p)
-                .is_some_and(|r| self.partitions[p].can_accept(r.kind))
-            {
-                return true;
-            }
-            if self
-                .pf_req_net
-                .peek(p)
-                .is_some_and(|r| self.partitions[p].can_accept(r.kind))
-            {
-                return true;
-            }
-        }
-        if self
-            .sms
-            .iter()
-            .zip(&self.sm_quiet_until)
-            .any(|(sm, &quiet)| quiet <= now && sm.can_progress(now, &self.kernels))
-        {
-            return true;
-        }
-        self.partitions.iter().enumerate().any(|(p, part)| {
-            self.part_quiet_until[p] <= now
-                && part.can_progress(now, &self.channels[self.cfg.channel_of_partition(p)])
-        })
-    }
-
-    /// Earliest future cycle (strictly after `now`) at which any
-    /// component can act on its own: a network arrival, a DRAM timer, a
-    /// maturing hit pipe, a warp execution-latency timer, or a prefetch
-    /// age-out. Everything else in the machine moves only as a
-    /// consequence of one of these.
-    ///
-    /// Networks contribute their *credit-aware* progress bound rather
-    /// than the raw arrival bound: a pipe arrival into a link whose
-    /// ejection queue is out of credits merely joins the blocked queue —
-    /// nothing observable changes, because the queue's consumer is
-    /// provably quiescent for the whole window (the skip gate required
-    /// `!can_progress`, which includes `has_ejected` on the reply nets
-    /// and consumer-checked request heads, and a frozen consumer frees
-    /// no credits). Horizon jumps therefore extend straight across
-    /// backpressured spans; the stall events naive stepping would have
-    /// recorded inside them are reconstructed analytically by
-    /// [`Network::account_skipped_window`] in [`Self::skip_to`].
-    fn horizon(&self, now: Cycle) -> Option<Cycle> {
-        let nets = [
-            self.req_net.earliest_progress(now),
-            self.pf_req_net.earliest_progress(now),
-            self.reply_net.earliest_progress(now),
-            self.pf_reply_net.earliest_progress(now),
-        ];
-        nets.into_iter()
-            .chain(self.sms.iter().map(|sm| sm.next_event(now)))
-            .chain(self.partitions.iter().map(|p| p.next_event(now)))
-            .chain(self.channels.iter().map(|c| c.next_event(now)))
-            .flatten()
-            .min()
-    }
-
-    /// Jump the clock from `now` to `target`, replicating the statistics
-    /// side effects of the `target - now` quiescent naive steps being
-    /// skipped. No architectural state changes in a quiescent cycle, so
-    /// only per-cycle counters need accounting.
-    fn skip_to(&mut self, now: Cycle, target: Cycle) {
-        let delta = target - now;
-        for sm in &mut self.sms {
-            sm.account_skipped(delta);
-        }
-        for p in &mut self.partitions {
-            p.account_skipped(delta);
-        }
-        // Each creditless link records one stall event per cycle its
-        // pipe head sits arrived-but-blocked. Credit-aware horizons can
-        // extend a window past a head's *arrival* (the arrival is a
-        // non-event behind a frozen consumer), so the per-link window
-        // accounting clamps each head's stall span to its own arrival
-        // cycle — exactly what naive stepping would have recorded.
-        self.req_net.account_skipped_window(now, target);
-        self.pf_req_net.account_skipped_window(now, target);
-        self.reply_net.account_skipped_window(now, target);
-        self.pf_reply_net.account_skipped_window(now, target);
-        self.skipped_cycles += delta;
-        self.skip_events += 1;
-        self.cycle = target;
-    }
-
     /// Replace the bound kernel (the GPU must be drained between
     /// kernels; callers normally use [`Self::run_app`]).
     pub fn bind_kernel(&mut self, kernel: Kernel) {
         kernel.validate().expect("invalid kernel");
+        self.wake_all();
         for sm in &mut self.sms {
             sm.rebind(&kernel);
         }
-        self.reset_quiescence_caches();
-        self.ff_gate_open = true;
-        self.gate_off_span = Self::GATE_WINDOW;
-        self.gate_window_end = self.cycle + Self::GATE_WINDOW;
-        self.gate_benefit = 0;
         self.kernels = vec![kernel];
     }
 
@@ -1571,12 +705,7 @@ impl Gpu {
         for (sm, cta) in plan {
             let coord = kernel.cta_coord(cta);
             self.sms[sm].launch_cta(coord, 0, kernel);
-            self.sm_quiet_until[sm] = 0;
         }
-        // Cache entries were zeroed outside phase 1; the cached minimum
-        // must see it.
-        self.sm_quiet_min = 0;
-        self.sm_active_estimate = self.cfg.num_sms;
     }
 
     fn done(&self) -> bool {
@@ -1594,206 +723,197 @@ impl Gpu {
             && self.channels.iter().all(|c| c.pending() == 0)
     }
 
-    /// Worker count for this cycle: the configured `sim_threads`,
-    /// clamped to the SM count, with an automatic sequential fallback
-    /// when so few SMs are active that a barrier synchronisation would
-    /// cost more than the parallel phase saves. Uses the previous
-    /// cycle's activity estimate (maintained by the phase-1 merge)
-    /// instead of rescanning the quiescence cache — one cycle of lag in
-    /// a host-side scheduling hint. Both engines are bit-identical, so
-    /// the per-cycle choice cannot perturb results.
-    fn plan_threads(&self) -> usize {
-        let t = self.sim_threads.min(self.cfg.num_sms);
-        if t < 2 {
-            return 1;
-        }
-        // The adaptive controller's per-window verdict overrides the
-        // static thread request (measured, not guessed).
-        if self.adaptive && !self.adapt_use_par {
-            return 1;
-        }
-        if self.ff_active() && self.sm_active_estimate < 2 {
-            return 1;
-        }
-        t
-    }
-
-    /// Whether this cycle runs with the fast-forward machinery live:
-    /// requires both the mode flag and an open skip-rate gate.
-    #[inline]
-    fn ff_active(&self) -> bool {
-        self.fast_forward && self.ff_gate_open
-    }
-
-    fn ensure_workers(&mut self, t: usize) {
-        if self.completed_shards.len() < t {
-            self.completed_shards.resize_with(t, Vec::new);
-        }
-        if self.staging.len() < t {
-            // A shard can stage at most `icnt_bandwidth` requests per SM
-            // per cycle, so this bound keeps staging allocation-free even
-            // if one worker ends up owning every SM.
-            let cap = self.cfg.num_sms * self.cfg.icnt_bandwidth as usize;
-            self.staging.resize_with(t, || Ring::with_capacity(cap));
-        }
-        if self.sm_shard_min.len() < t {
-            self.sm_shard_min.resize(t, Cycle::MAX);
-            self.sm_shard_skips.resize(t, 0);
-        }
-        if self.sm_plan.len() != t + 1 {
-            // Width changed (including seq↔par flips): restart from the
-            // equal plan; measured costs re-skew it at the next
-            // rebalance boundary.
-            self.sm_plan = (0..=t).map(|w| w * self.cfg.num_sms / t).collect();
-            self.sm_cost.fill(0);
-            self.next_rebalance = self.cycle + self.rebalance_window;
-        }
-        if t > 1 && self.pool.as_ref().map(ShardPool::width) != Some(t) {
-            let pool = ShardPool::with_affinity(t - 1, self.pin_workers);
-            // One-time calibration: the measured empty-dispatch cost is
-            // the adaptive controller's floor for "can parallel win".
-            self.pool_dispatch_ns = pool.measure_dispatch_ns();
-            self.pool = Some(pool);
-        }
-    }
-
-    /// Advance the whole GPU one core cycle: the two fused parallel
-    /// phases (SM-local + staging, staged injection + memory-local)
-    /// separated by at most one barrier, then the serial tail.
-    pub fn step(&mut self) {
+    /// Advance the whole GPU one core cycle, visiting the due components
+    /// (every component under naive stepping) in the module-level order.
+    fn step(&mut self) {
         let now = self.cycle;
-        let t = self.plan_threads();
-        self.ensure_workers(t);
+        let all = !self.fast_forward;
 
-        // Phases 1+2: SM-local (parallel over SMs, staging outbound
-        // requests per shard) and memory-local (parallel over channel
-        // groups, claiming staged requests for owned channels). One pool
-        // dispatch, one internal barrier — the only serial
-        // synchronisation point inside the cycle.
-        {
-            let staging = self.staging.as_mut_ptr();
-            let sm_ctx = SmPhase {
-                sms: self.sms.as_mut_ptr(),
-                reply: self.reply_net.links_mut().as_mut_ptr(),
-                pf_reply: self.pf_reply_net.links_mut().as_mut_ptr(),
-                quiet: self.sm_quiet_until.as_mut_ptr(),
-                probe_at: self.sm_probe_at.as_mut_ptr(),
-                probe_streak: self.sm_probe_streak.as_mut_ptr(),
-                completed: self.completed_shards.as_mut_ptr(),
-                staging,
-                shard_min: self.sm_shard_min.as_mut_ptr(),
-                shard_skips: self.sm_shard_skips.as_mut_ptr(),
-                plan: self.sm_plan.as_ptr(),
-                cost: self.sm_cost.as_mut_ptr(),
-                kernels: &self.kernels,
-                num_sms: self.cfg.num_sms,
-                threads: t,
-                bw: self.cfg.icnt_bandwidth,
-                fast_forward: self.ff_active(),
-                now,
-            };
-            let mem_ctx = MemPhase {
-                partitions: self.partitions.as_mut_ptr(),
-                channels: self.channels.as_mut_ptr(),
-                req: self.req_net.links_mut().as_mut_ptr(),
-                pf_req: self.pf_req_net.links_mut().as_mut_ptr(),
-                part_quiet: self.part_quiet_until.as_mut_ptr(),
-                part_probe_at: self.part_probe_at.as_mut_ptr(),
-                part_probe_streak: self.part_probe_streak.as_mut_ptr(),
-                ch_quiet: self.ch_quiet_until.as_mut_ptr(),
-                ch_probe_at: self.ch_probe_at.as_mut_ptr(),
-                ch_probe_streak: self.ch_probe_streak.as_mut_ptr(),
-                scratch: self.dram_scratch.as_mut_ptr(),
-                staging: staging as *const _,
-                num_sm_shards: t,
-                cfg: &self.cfg,
-                num_partitions: self.cfg.num_partitions,
-                num_channels: self.cfg.num_dram_channels,
-                threads: t.min(self.cfg.num_dram_channels),
-                bw: self.cfg.icnt_bandwidth,
-                latency: self.cfg.icnt_latency as Cycle,
-                fast_forward: self.ff_active(),
-                now,
-            };
-            if t > 1 {
-                let pool = self.pool.as_ref().expect("pool ensured");
-                // SAFETY: each worker index maps to a disjoint SM shard
-                // in phase 1 and a disjoint channel group in phase 2
-                // (idle workers get an empty group); the pool barrier
-                // orders every phase-1 staging write before any phase-2
-                // read.
-                pool.run2(
-                    &|w| unsafe { sm_ctx.run_shard(w) },
-                    &|w| unsafe { mem_ctx.run_shard(w) },
-                );
+        let n = self.cfg.num_sms;
+        for base in (0..n).step_by(64) {
+            let end = (base + 64).min(n);
+            let mut due = if all {
+                full_mask(end - base)
             } else {
-                // SAFETY: single caller covers every shard, in phase
-                // order.
-                unsafe {
-                    sm_ctx.run_shard(0);
-                    mem_ctx.run_shard(0);
+                due_mask(&self.sm_wake.at[base..end], &self.reply_at[base..end], now)
+            };
+            while due != 0 {
+                let i = base + due.trailing_zeros() as usize;
+                due &= due - 1;
+                self.visit_sm(i, now);
+            }
+        }
+
+        self.dram_done.clear();
+        for c in 0..self.channels.len() {
+            if all || self.channels[c].wake_at() <= now {
+                self.visit_channel(c, now);
+            }
+        }
+
+        let n = self.cfg.num_partitions;
+        for base in (0..n).step_by(64) {
+            let end = (base + 64).min(n);
+            let mut due = if all {
+                full_mask(end - base)
+            } else {
+                due_mask(
+                    &self.part_wake.at[base..end],
+                    &self.req_wake.at[base..end],
+                    now,
+                )
+            };
+            while due != 0 {
+                let p = base + due.trailing_zeros() as usize;
+                due &= due - 1;
+                self.visit_partition(p, now);
+            }
+        }
+
+        // Demand-driven CTA refill (Fig. 3): completed CTAs free slots;
+        // the distributor hands out the next CTA ids.
+        if !self.completed.is_empty() {
+            self.refill_ctas();
+            self.completed.clear();
+        }
+        self.cycle += 1;
+    }
+
+    /// SM `i`'s slot in cycle `now`: reply links, pipeline, injection.
+    fn visit_sm(&mut self, i: usize, now: Cycle) {
+        let all = !self.fast_forward;
+        let bw = self.cfg.icnt_bandwidth;
+        let sm = &mut self.sms[i];
+        let skipped = self.sm_wake.settle(i, now);
+        sm.account_skipped(skipped);
+        let mut woken = all || self.sm_wake.at[i] <= now;
+
+        // Fills: demand replies first, then the prefetch virtual channel.
+        if all || self.reply_at[i] <= now {
+            let mut next = Cycle::MAX;
+            for link in [self.reply_net.link(i), self.pf_reply_net.link(i)] {
+                link.step(now);
+                for _ in 0..bw {
+                    let Some(reply) = link.pop_one() else { break };
+                    sm.on_fill(now, reply.line);
+                    woken = true;
+                }
+                next = next.min(reply_link_next(link, now));
+            }
+            self.reply_at[i] = next;
+        }
+        if !woken {
+            return;
+        }
+
+        let progressed = sm.step(now, &self.kernels, &mut self.completed);
+        self.sm_wake.acct[i] = now + 1;
+        let mut sent = false;
+        for _ in 0..bw {
+            let Some(req) = sm.pop_outbound() else { break };
+            let dst = self.cfg.partition_of(req.line);
+            let net = if req.kind.is_prefetch() {
+                &mut self.pf_req_net
+            } else {
+                &mut self.req_net
+            };
+            let arrival = net.send(now, dst, req);
+            self.req_wake.wake(dst, arrival);
+            sent = true;
+        }
+        self.sm_wake.at[i] = if all || progressed || sent || sm.has_outbound() {
+            now + 1
+        } else {
+            sm.next_event(now).unwrap_or(Cycle::MAX)
+        };
+    }
+
+    /// DRAM channel `c`'s slot in cycle `now`. Completions and a freed
+    /// queue slot (FR-FCFS issued a command) are the external events
+    /// that wake the channel's partitions for this cycle.
+    fn visit_channel(&mut self, c: usize, now: Cycle) {
+        let ch = &mut self.channels[c];
+        let queued = ch.queued();
+        let first = self.dram_done.len();
+        ch.step(now, &mut self.dram_done);
+        if ch.queued() < queued {
+            let stride = self.cfg.num_dram_channels;
+            for p in (c..self.cfg.num_partitions).step_by(stride) {
+                if self.partitions[p].waits_for_dram_slot() {
+                    self.part_wake.wake(p, now);
                 }
             }
         }
-
-        // Serial tail (a): merge the per-shard quiescence summaries into
-        // the cached machine-wide minimum, the gate-benefit sample (each
-        // quiet SM this cycle is one avoided pipeline walk), and the
-        // next cycle's activity estimate. All host-side.
-        let mut min_quiet = Cycle::MAX;
-        let mut skips = 0u64;
-        for w in 0..t {
-            min_quiet = min_quiet.min(self.sm_shard_min[w]);
-            skips += self.sm_shard_skips[w];
+        for done in &self.dram_done[first..] {
+            self.part_wake.wake(done.partition, now);
         }
-        self.sm_quiet_min = min_quiet;
-        self.sm_active_estimate = self.cfg.num_sms.saturating_sub(skips as usize);
-        self.gate_benefit += skips;
+    }
 
-        // Serial tail (b): partitions → reply networks, in fixed
-        // partition order (the merge that keeps reply-link packet order
-        // identical to sequential stepping), then demand-driven CTA
-        // refill (Fig. 3): completed CTAs free slots; the distributor
-        // hands out the next CTA ids.
-        for p in 0..self.cfg.num_partitions {
-            for _ in 0..self.cfg.icnt_bandwidth {
-                let Some(reply) = self.partitions[p].reply_out.pop() else {
+    /// Partition `p`'s slot in cycle `now`: request links, the partition
+    /// itself, reply injection.
+    fn visit_partition(&mut self, p: usize, now: Cycle) {
+        let all = !self.fast_forward;
+        let bw = self.cfg.icnt_bandwidth;
+        let part = &mut self.partitions[p];
+        let skipped = self.part_wake.settle(p, now);
+        part.account_skipped(skipped);
+        let mut woken = all || self.part_wake.at[p] <= now;
+
+        // Request links → partition (consumer-checked ejection; demand
+        // channel first).
+        if all || self.req_wake.at[p] <= now {
+            let from = self.req_wake.acct[p];
+            for link in [self.req_net.link(p), self.pf_req_net.link(p)] {
+                link.account_skipped(from, now);
+                link.step(now);
+                for _ in 0..bw {
+                    let Some(req) = link.peek() else { break };
+                    if !part.can_accept(req.kind) {
+                        break;
+                    }
+                    let req = link.pop_one().expect("peeked");
+                    part.accept(now, req);
+                    woken = true;
+                }
+            }
+            self.req_wake.acct[p] = now + 1;
+        }
+
+        if woken {
+            let ch = &mut self.channels[self.cfg.channel_of_partition(p)];
+            let progressed = part.step(now, ch, &self.dram_done);
+            self.part_wake.acct[p] = now + 1;
+            for _ in 0..bw {
+                let Some(reply) = part.reply_out.pop() else {
                     break;
                 };
-                self.reply_net.send(now, reply.sm, reply);
+                let arrival = self.reply_net.send(now, reply.sm, reply);
+                self.reply_at[reply.sm] = self.reply_at[reply.sm].min(arrival);
             }
-            for _ in 0..self.cfg.icnt_bandwidth {
-                let Some(reply) = self.partitions[p].pf_reply_out.pop() else {
+            for _ in 0..bw {
+                let Some(reply) = part.pf_reply_out.pop() else {
                     break;
                 };
-                self.pf_reply_net.send(now, reply.sm, reply);
+                let arrival = self.pf_reply_net.send(now, reply.sm, reply);
+                self.reply_at[reply.sm] = self.reply_at[reply.sm].min(arrival);
             }
+            // After a step that changed nothing, or one that left no
+            // queued work, the next step can only act on a timer or an
+            // external event.
+            self.part_wake.at[p] =
+                if all || part.has_replies() || (progressed && part.has_queued_work()) {
+                    now + 1
+                } else {
+                    part.next_event(now).unwrap_or(Cycle::MAX)
+                };
         }
-        if self.completed_shards.iter().any(|c| !c.is_empty()) {
-            self.refill_ctas();
-            for c in &mut self.completed_shards {
-                c.clear();
-            }
-        }
-
-        // Serial tail (c): every staged request was claimed by exactly
-        // one phase-2 worker; clear the rings so next cycle (possibly
-        // with a different worker count) starts from empty.
-        for stage in &mut self.staging {
-            stage.clear();
-        }
-
-        // Serial tail (d): at rebalance boundaries, rebuild the shard
-        // plan from the window's measured per-SM cost. Serial, host-only
-        // — the plan changes which worker steps which SM, never what any
-        // SM computes, so bit-identity is untouched by construction.
-        if t > 1 && now >= self.next_rebalance {
-            self.sm_plan = plan_from_costs(&self.sm_cost, t);
-            self.sm_cost.fill(0);
-            self.next_rebalance = now + self.rebalance_window;
-        }
-
-        self.cycle += 1;
+        // The partition may have freed input credit: re-evaluate when
+        // its request links can next act.
+        self.req_wake.at[p] = req_link_next(self.req_net.link(p), part, now).min(req_link_next(
+            self.pf_req_net.link(p),
+            part,
+            now,
+        ));
     }
 
     fn refill_ctas(&mut self) {
@@ -1801,33 +921,22 @@ impl Gpu {
             self.refill_tenants();
             return;
         }
-        let mut launched = false;
-        let kernel = &self.kernels[0];
-        for (i, sm) in self.sms.iter_mut().enumerate() {
-            while sm.has_free_cta_slot() {
-                match self.distributor.next_cta() {
-                    Some(id) => {
-                        let coord = kernel.cta_coord(id);
-                        sm.launch_cta(coord, 0, kernel);
-                        self.sm_quiet_until[i] = 0;
-                        launched = true;
-                    }
-                    None => break,
-                }
+        let kernels = std::mem::take(&mut self.kernels);
+        'sms: for i in 0..self.cfg.num_sms {
+            while self.sms[i].has_free_cta_slot() {
+                let Some(id) = self.distributor.next_cta() else {
+                    break 'sms;
+                };
+                self.launch_in_tail(i, kernels[0].cta_coord(id), 0, &kernels[0]);
             }
         }
-        if launched {
-            // A launch zeroed cache entries after the phase-1 merge ran;
-            // keep the cached minimum consistent with the entries.
-            self.sm_quiet_min = 0;
-        }
+        self.kernels = kernels;
     }
 
-    /// Aggregate statistics across SMs, partitions, channels, networks.
-    /// Per-shard counters (SM stats, partition stats, channel counters,
-    /// per-lane network stalls) merge here in fixed component order —
-    /// the only cross-shard statistics flow in the engine.
+    /// Aggregate statistics across SMs, partitions, channels, networks,
+    /// after charging every component's unstepped cycles.
     pub fn collect_stats(&mut self) -> Stats {
+        self.settle_all();
         let mut total = Stats::default();
         for sm in &mut self.sms {
             sm.finalize();
@@ -1862,10 +971,9 @@ impl Gpu {
     /// Per-subsystem port/link occupancy and backpressure report:
     /// high-water marks, credit-stall counts, and growth-valve
     /// activations aggregated over every ring in the memory path.
-    /// Host-side reporting only — fast-forward changes how often stalled
-    /// producers retry, so these counters legitimately differ between
-    /// engines and are *not* part of the bit-identity contract (unlike
-    /// [`Stats`]).
+    /// Host-side reporting, kept outside [`Stats`]; read it after
+    /// [`Self::collect_stats`] (the run methods call it), which charges
+    /// blocked links the stalls of the cycles they sat out.
     pub fn link_report(&self) -> LinkReport {
         let mut sm_ports = PortSnapshot::default();
         for sm in &self.sms {
@@ -1879,14 +987,6 @@ impl Gpu {
         for c in &self.channels {
             dram_queues.absorb(c.port_snapshot());
         }
-        let mut staging = PortSnapshot::default();
-        for s in &self.staging {
-            staging.absorb(PortSnapshot {
-                high_water: s.high_water(),
-                credit_stalls: 0,
-                grows: s.grows(),
-            });
-        }
         LinkReport {
             req_net: self.req_net.snapshot(),
             pf_req_net: self.pf_req_net.snapshot(),
@@ -1895,8 +995,14 @@ impl Gpu {
             sm_ports,
             partition_ports,
             dram_queues,
-            staging,
         }
+    }
+
+    /// The adaptive engine-selection report of earlier simulator
+    /// versions; the sequential loop has no such controller, so this is
+    /// always [`AdaptReport::default`] (kept for the record format).
+    pub fn adapt_report(&self) -> AdaptReport {
+        AdaptReport::default()
     }
 
     /// The configuration this GPU was built with.
@@ -1913,44 +1019,6 @@ impl Gpu {
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
     }
-}
-
-/// Worker count from the environment: `GPU_SIM_SEQ=1` forces the
-/// sequential engine; otherwise `GPU_SIM_THREADS=N` selects the
-/// parallel engine with `N` workers (default 1).
-fn threads_from_env() -> usize {
-    if std::env::var_os("GPU_SIM_SEQ").is_some_and(|v| v != "0") {
-        return 1;
-    }
-    std::env::var("GPU_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Adaptive engine selection from the environment: on unless
-/// `GPU_SIM_ADAPT` is set to `0`/`off`/`false`.
-fn adaptive_from_env() -> bool {
-    match std::env::var("GPU_SIM_ADAPT") {
-        Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// Compile-time guarantee that everything the phase contexts hand to
-/// pool workers is safe to move across threads.
-#[allow(dead_code)]
-fn assert_shard_state_is_send() {
-    fn ok<T: Send>() {}
-    ok::<Sm>();
-    ok::<MemoryPartition>();
-    ok::<DramChannel>();
-    ok::<Link<MemRequest>>();
-    ok::<Link<MemReply>>();
-    ok::<Ring<MemRequest>>();
-    ok::<Vec<CtaCoord>>();
-    ok::<Vec<DramRequest>>();
 }
 
 #[cfg(test)]
@@ -2086,40 +1154,48 @@ mod tests {
         assert!(cached_two > cached_one, "{cached_two} vs {cached_one}");
     }
 
-    #[test]
-    fn fast_forward_is_bit_identical_to_naive_stepping() {
+    /// Naive and wake-driven runs of the same setup agree on `Stats` and
+    /// on the link report (blocked links are charged their stalls).
+    fn assert_modes_agree(run: impl Fn(&mut Gpu) -> Stats, ctas: u32) {
         let cfg = GpuConfig::test_small();
-        let mut fast = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
-        fast.set_fast_forward(true);
-        let mut naive = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
+        let mut wake = Gpu::new(cfg.clone(), stride_kernel(ctas, 4), &*null_factory());
+        wake.set_fast_forward(true);
+        let mut naive = Gpu::new(cfg, stride_kernel(ctas, 4), &*null_factory());
         naive.set_fast_forward(false);
-        assert_eq!(fast.run(1_000_000), naive.run(1_000_000));
+        assert_eq!(run(&mut wake), run(&mut naive));
+        assert_eq!(wake.link_report(), naive.link_report());
     }
 
     #[test]
-    fn fast_forward_is_bit_identical_across_relaunches() {
-        let cfg = GpuConfig::test_small();
-        let mut fast = Gpu::new(cfg.clone(), stride_kernel(8, 4), &*null_factory());
-        fast.set_fast_forward(true);
-        let mut naive = Gpu::new(cfg, stride_kernel(8, 4), &*null_factory());
-        naive.set_fast_forward(false);
-        assert_eq!(
-            fast.run_launches(3, 1_000_000),
-            naive.run_launches(3, 1_000_000)
+    fn wake_driven_stepping_is_bit_identical_to_naive_stepping() {
+        assert_modes_agree(|g| g.run(1_000_000), 16);
+        let (skipped, jumps) = {
+            let mut g = Gpu::new(
+                GpuConfig::test_small(),
+                stride_kernel(16, 4),
+                &*null_factory(),
+            );
+            g.set_fast_forward(true);
+            g.run(1_000_000);
+            g.skip_counters()
+        };
+        assert!(
+            jumps > 0 && skipped >= jumps,
+            "memory waits are jumped over"
         );
     }
 
     #[test]
-    fn fast_forward_is_bit_identical_under_a_cycle_cap() {
-        // The cap can land inside a skip window; the jump must clamp to
-        // it and account the partial window exactly as naive spinning.
+    fn wake_driven_stepping_is_bit_identical_across_relaunches() {
+        assert_modes_agree(|g| g.run_launches(3, 1_000_000), 8);
+    }
+
+    #[test]
+    fn wake_driven_stepping_is_bit_identical_under_a_cycle_cap() {
+        // The cap can land inside a jump; the jump must clamp to it and
+        // charge the partial window exactly as naive spinning.
         for cap in [50, 137, 500] {
-            let cfg = GpuConfig::test_small();
-            let mut fast = Gpu::new(cfg.clone(), stride_kernel(64, 4), &*null_factory());
-            fast.set_fast_forward(true);
-            let mut naive = Gpu::new(cfg, stride_kernel(64, 4), &*null_factory());
-            naive.set_fast_forward(false);
-            assert_eq!(fast.run(cap), naive.run(cap), "cap {cap}");
+            assert_modes_agree(|g| g.run(cap), 64);
         }
     }
 
@@ -2137,51 +1213,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_is_bit_identical_across_thread_counts() {
-        // The real grid lives in the metrics differential suite; this is
-        // the gpu-level smoke for both fast-forward settings.
-        for ff in [true, false] {
-            let mut reference: Option<Stats> = None;
-            for threads in [1usize, 2, 3, 4] {
-                let cfg = GpuConfig::test_small();
-                let mut gpu = Gpu::new(cfg, stride_kernel(64, 4), &*null_factory());
-                gpu.set_fast_forward(ff);
-                gpu.set_sim_threads(threads);
-                gpu.set_adaptive(false); // force the parallel engine on
-                let stats = gpu.run(1_000_000);
-                match &reference {
-                    None => reference = Some(stats),
-                    Some(want) => {
-                        assert_eq!(&stats, want, "threads={threads} ff={ff} diverged")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_matches_under_cycle_caps_and_relaunches() {
-        for cap in [137, 5_000] {
-            let cfg = GpuConfig::test_small();
-            let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-            seq.set_sim_threads(1);
-            let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-            par.set_sim_threads(3);
-            par.set_adaptive(false);
-            assert_eq!(
-                seq.run_launches(2, cap),
-                par.run_launches(2, cap),
-                "cap {cap}"
-            );
-        }
-    }
-
-    #[test]
     fn link_report_sees_traffic_and_steady_state_never_grows() {
         let cfg = GpuConfig::test_small();
         let mut gpu = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        gpu.set_adaptive(false);
         let stats = gpu.run(1_000_000);
         assert_eq!(stats.ctas_completed, 16);
         let report = gpu.link_report();
@@ -2190,131 +1224,26 @@ mod tests {
         assert!(report.sm_ports.high_water > 0);
         assert!(report.partition_ports.high_water > 0);
         assert!(report.dram_queues.high_water > 0);
-        assert!(report.staging.high_water > 0, "fused injection staged requests");
         // Every ring on the memory path is sized from its producers'
         // in-flight bounds, so a run must never hit the growth valve.
         assert_eq!(report.total().grows, 0, "steady state must not allocate");
     }
 
     #[test]
-    fn plan_from_costs_balances_and_stays_contiguous() {
-        // All-equal costs reduce to the equal-count plan.
-        assert_eq!(plan_from_costs(&[0; 15], 4), vec![0, 4, 8, 12, 15]);
-        // One hot SM pulls a whole shard to itself.
-        let mut costs = vec![0u64; 8];
-        costs[0] = 1_000;
-        let plan = plan_from_costs(&costs, 4);
-        assert_eq!(plan[0], 0);
-        assert_eq!(plan[4], 8);
-        assert_eq!(plan[1], 1, "the hot SM should own shard 0 alone");
-        // Invariants for arbitrary-ish inputs: full coverage, ascending.
-        for t in 1..=6 {
-            for costs in [
-                vec![0u64; 6],
-                vec![5, 0, 0, 0, 0, 5],
-                vec![1, 2, 3, 4, 5, 6],
-                vec![100, 1, 100, 1, 100, 1],
-            ] {
-                let plan = plan_from_costs(&costs, t);
-                assert_eq!(plan.len(), t + 1);
-                assert_eq!(plan[0], 0);
-                assert_eq!(plan[t], costs.len());
-                assert!(plan.windows(2).all(|w| w[0] <= w[1]), "{plan:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_shard_plans_are_bit_identical() {
-        // A deliberately terrible plan (one worker owns almost every SM)
-        // must still produce identical stats — the contiguous-ascending
-        // property, not balance, is what the equivalence proof uses.
-        // test_small has only 2 SMs; widen it so the skew is real.
+    fn masks_cover_more_than_64_components() {
+        // Due masks are built 64 components at a time; a machine wider
+        // than one mask must still visit every SM and partition.
         let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 8;
-        let n = cfg.num_sms;
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-        par.set_sim_threads(3);
-        par.set_adaptive(false);
-        // Disable fast-forward on both sides so the near-drain
-        // sequential fallback can't swap the skewed plan out mid-run.
-        seq.set_fast_forward(false);
-        par.set_fast_forward(false);
-        // Keep the skewed plan alive for the whole run.
-        par.set_shard_rebalance_window(1_000_000);
-        par.set_shard_plan(vec![0, 1, 2, n]);
-        assert_eq!(seq.run(1_000_000), par.run(1_000_000));
-    }
-
-    #[test]
-    fn frequent_rebalancing_is_bit_identical() {
-        // Rebalance every few cycles so many different measured plans
-        // are exercised inside one run.
-        let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 8;
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        let mut par = Gpu::new(cfg, stride_kernel(32, 4), &*null_factory());
-        par.set_sim_threads(4);
-        par.set_adaptive(false);
-        par.set_shard_rebalance_window(7);
-        assert_eq!(seq.run(1_000_000), par.run(1_000_000));
-    }
-
-    #[test]
-    fn adaptive_engine_selection_is_bit_identical() {
-        // The controller may switch engines mid-run at window
-        // boundaries; every mixture must match pure-sequential.
-        let cfg = GpuConfig::test_small();
-        let mut seq = Gpu::new(cfg.clone(), stride_kernel(64, 4), &*null_factory());
-        seq.set_sim_threads(1);
-        seq.set_adaptive(false);
-        let mut adaptive = Gpu::new(cfg, stride_kernel(64, 4), &*null_factory());
-        adaptive.set_sim_threads(4);
-        adaptive.set_adaptive(true);
-        assert_eq!(seq.run(1_000_000), adaptive.run(1_000_000));
-    }
-
-    #[test]
-    fn pinning_choice_is_bit_identical() {
-        let cfg = GpuConfig::test_small();
-        let mut reference: Option<Stats> = None;
-        for pin in [false, true] {
-            let mut gpu = Gpu::new(cfg.clone(), stride_kernel(32, 4), &*null_factory());
-            gpu.set_sim_threads(2);
-            gpu.set_adaptive(false);
-            gpu.set_pinning(pin);
-            let stats = gpu.run(1_000_000);
-            match &reference {
-                None => reference = Some(stats),
-                Some(want) => assert_eq!(&stats, want, "pin={pin} diverged"),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "plan must cover every SM")]
-    fn malformed_shard_plan_is_rejected() {
-        let cfg = GpuConfig::test_small(); // 2 SMs
-        let mut gpu = Gpu::new(cfg, stride_kernel(8, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        gpu.set_shard_plan(vec![0, 1, 1]);
-    }
-
-    #[test]
-    fn sim_threads_can_change_between_runs() {
-        let cfg = GpuConfig::test_small();
-        let mut gpu = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
-        gpu.set_sim_threads(2);
-        let a = gpu.run(1_000_000);
-        let mut gpu2 = Gpu::new(cfg, stride_kernel(16, 4), &*null_factory());
-        gpu2.set_sim_threads(4);
-        gpu2.set_sim_threads(1);
-        assert_eq!(gpu2.sim_threads(), 1);
-        let b = gpu2.run(1_000_000);
-        assert_eq!(a, b);
+        cfg.num_sms = 70;
+        cfg.num_partitions = 66;
+        let kernel = stride_kernel(140, 2);
+        let mut wake = Gpu::new(cfg.clone(), kernel.clone(), &*null_factory());
+        wake.set_fast_forward(true);
+        let mut naive = Gpu::new(cfg, kernel, &*null_factory());
+        naive.set_fast_forward(false);
+        let stats = wake.run(1_000_000);
+        assert_eq!(stats.ctas_completed, 140);
+        assert_eq!(stats, naive.run(1_000_000));
     }
 
     #[test]
@@ -2327,8 +1256,7 @@ mod tests {
             .run_launches(1, 1_000_000);
         for policy in Partitioning::all() {
             let mut gpu = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
-            let (stats, per_kernel) =
-                gpu.run_tenants(&[stride_kernel(16, 4)], policy, 1_000_000);
+            let (stats, per_kernel) = gpu.run_tenants(&[stride_kernel(16, 4)], policy, 1_000_000);
             assert_eq!(stats, legacy, "{policy} diverged from run_launches");
             assert_eq!(per_kernel.len(), 1);
             assert_eq!(per_kernel[0].ctas_completed, 16);
@@ -2354,24 +1282,16 @@ mod tests {
     }
 
     #[test]
-    fn tenant_runs_are_bit_identical_across_engines() {
+    fn tenant_runs_are_bit_identical_across_stepping_modes() {
         let cfg = GpuConfig::test_small();
         let tenants = [stride_kernel(12, 4), stride_kernel(8, 2)];
         for policy in Partitioning::all() {
-            let mut reference = None;
-            for (threads, ff) in [(1, false), (1, true), (4, true)] {
+            let [naive, wake] = [false, true].map(|ff| {
                 let mut gpu = Gpu::new(cfg.clone(), tenants[0].clone(), &*null_factory());
-                gpu.set_sim_threads(threads);
-                gpu.set_adaptive(false);
                 gpu.set_fast_forward(ff);
-                let got = gpu.run_tenants(&tenants, policy, 2_000_000);
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => {
-                        assert_eq!(&got, want, "{policy} threads={threads} ff={ff}")
-                    }
-                }
-            }
+                gpu.run_tenants(&tenants, policy, 2_000_000)
+            });
+            assert_eq!(naive, wake, "{policy}");
         }
     }
 
@@ -2383,8 +1303,7 @@ mod tests {
         let cfg = GpuConfig::test_small();
         let tenants = [stride_kernel(8, 4), stride_kernel(8, 4)];
         let mut gpu = Gpu::new(cfg, tenants[0].clone(), &*null_factory());
-        let (stats, per_kernel) =
-            gpu.run_tenants(&tenants, Partitioning::Shared, 2_000_000);
+        let (stats, per_kernel) = gpu.run_tenants(&tenants, Partitioning::Shared, 2_000_000);
         let l2: u64 = per_kernel.iter().map(|k| k.l2_accesses).sum();
         assert_eq!(l2, stats.l2_accesses);
         for k in &per_kernel {

@@ -9,12 +9,8 @@
 //! Internally a network is a vector of per-destination [`Link`]s (from
 //! the unified port layer, [`crate::port`]) with no shared mutable state
 //! between links: each link carries its own preallocated pipe ring,
-//! bounded eject [`crate::port::Port`], stall counter and wake bound.
-//! That layout is what the phase-split parallel cycle engine in
-//! [`crate::gpu`] shards on: a worker that owns destination `d` may
-//! mutate link `d` while other workers mutate theirs, with no atomics
-//! and no locks, and the summed statistics are identical to sequential
-//! stepping by construction.
+//! bounded eject [`crate::port::Port`], stall counter and wake bound, so
+//! the cycle loop in [`crate::gpu`] steps only the links that can act.
 
 pub use crate::port::Link;
 use crate::port::PortSnapshot;
@@ -54,11 +50,6 @@ pub struct MemReply {
 pub struct Network<T> {
     links: Vec<Link<T>>,
     latency: u32,
-    eject_depth: usize,
-    eject_bw: u32,
-    /// Stall events accounted in bulk by the fast-forward clock skip
-    /// (not attributable to a single link; added to the summed total).
-    skipped_stall_events: u64,
 }
 
 impl<T> Network<T> {
@@ -70,7 +61,6 @@ impl<T> Network<T> {
         destinations: usize,
         latency: u32,
         eject_depth: usize,
-        eject_bw: u32,
         pipe_capacity: usize,
     ) -> Self {
         Network {
@@ -78,66 +68,23 @@ impl<T> Network<T> {
                 .map(|_| Link::new(eject_depth, pipe_capacity))
                 .collect(),
             latency,
-            eject_depth,
-            eject_bw,
-            skipped_stall_events: 0,
         }
-    }
-
-    /// Per-destination ejection-queue depth (credit count).
-    #[inline]
-    pub fn eject_depth(&self) -> usize {
-        self.eject_depth
     }
 
     /// Inject a message at `now`; it becomes visible at the destination
-    /// after the pipe latency (plus any ejection queueing).
-    pub fn send(&mut self, now: Cycle, dst: usize, msg: T) {
+    /// after the pipe latency (plus any ejection queueing). Returns the
+    /// arrival cycle.
+    pub fn send(&mut self, now: Cycle, dst: usize, msg: T) -> Cycle {
         debug_assert!(dst < self.links.len());
         let at = now + self.latency as Cycle;
         self.links[dst].send(at, msg);
+        at
     }
 
-    /// Move arrived messages into ejection queues (respecting depth).
-    /// Call once per cycle before [`Self::pop`].
-    pub fn step(&mut self, now: Cycle) {
-        for link in &mut self.links {
-            link.step(now);
-        }
-    }
-
-    /// Exclusive access to every link, for sharding: the parallel engine
-    /// splits this slice so each worker steps and drains only the links
-    /// of the destinations it owns.
+    /// The link feeding destination `dst`.
     #[inline]
-    pub fn links_mut(&mut self) -> &mut [Link<T>] {
-        &mut self.links
-    }
-
-    /// Take up to the per-cycle ejection bandwidth of messages for `dst`.
-    /// Callers invoke this once per destination per cycle.
-    pub fn pop(&mut self, dst: usize) -> EjectIter<'_, T> {
-        EjectIter {
-            link: &mut self.links[dst],
-            left: self.eject_bw,
-        }
-    }
-
-    /// Peek whether `dst` has a deliverable message.
-    pub fn has_pending(&self, dst: usize) -> bool {
-        self.links[dst].has_pending()
-    }
-
-    /// Peek at the next deliverable message for `dst` without consuming.
-    pub fn peek(&self, dst: usize) -> Option<&T> {
-        self.links[dst].peek()
-    }
-
-    /// Take a single message for `dst` if one is deliverable. Callers
-    /// that must check a consumer-side condition (e.g. partition input
-    /// space) before consuming use this with their own bandwidth count.
-    pub fn pop_one(&mut self, dst: usize) -> Option<T> {
-        self.links[dst].pop_one()
+    pub fn link(&mut self, dst: usize) -> &mut Link<T> {
+        &mut self.links[dst]
     }
 
     /// Total messages anywhere in the network.
@@ -145,86 +92,15 @@ impl<T> Network<T> {
         self.links.iter().map(Link::in_flight).sum()
     }
 
-    /// Any message sitting in an ejection queue.
-    #[inline]
-    pub fn has_ejected(&self) -> bool {
-        self.links.iter().any(Link::has_pending)
-    }
-
-    /// Whether a [`Self::step`] at `now` would move at least one message
-    /// from a pipe into an ejection queue (an arrival — forward progress
-    /// for the fast-forward probe).
-    pub fn can_deliver(&self, now: Cycle) -> bool {
-        self.links.iter().any(|link| link.can_deliver(now))
-    }
-
-    /// Number of destinations whose pipe head has arrived but is blocked
-    /// on a full ejection queue. [`Link::step`] records exactly one
-    /// stall event per such destination per cycle, so a skipped window of
-    /// `delta` cycles accounts `delta * blocked_heads` stall events.
-    pub fn blocked_heads(&self, now: Cycle) -> u64 {
-        self.links
-            .iter()
-            .filter(|link| link.blocked_head(now))
-            .count() as u64
-    }
-
-    /// Account stall events for a skipped quiescent window in bulk.
-    pub fn add_skipped_stalls(&mut self, events: u64) {
-        self.skipped_stall_events += events;
-    }
-
-    /// Total stall events: per-link counts plus bulk skip accounting.
+    /// Total stall events (cycles a pipe head waited for a full
+    /// ejection queue), summed over links.
     pub fn stall_events(&self) -> u64 {
-        self.skipped_stall_events + self.links.iter().map(|l| l.stall_events).sum::<u64>()
-    }
-
-    /// Earliest future pipe arrival, strictly after `now`. Heads already
-    /// arrived (t ≤ now) are excluded: unblocked ones are immediate
-    /// progress (no skip happens), blocked ones cannot move until their
-    /// consumer drains — a different progress event.
-    pub fn earliest_arrival(&self, now: Cycle) -> Option<Cycle> {
-        self.links
-            .iter()
-            .filter_map(|link| link.earliest_arrival(now))
-            .min()
-    }
-
-    /// Earliest future cycle at which any link could make progress a
-    /// consumer can observe — the credit-aware variant of
-    /// [`Self::earliest_arrival`] used for fast-forward horizon
-    /// planning. Links whose ejection queue is out of credits are
-    /// skipped entirely: during a skipped window no consumer pops, so a
-    /// pipe arrival into a creditless link only lengthens the blocked
-    /// queue and changes nothing observable. Only meaningful when every
-    /// ejection queue has already been drained into its quiescent
-    /// consumer (the skip gate checks [`Self::has_ejected`]).
-    pub fn earliest_progress(&self, now: Cycle) -> Option<Cycle> {
-        self.links
-            .iter()
-            .filter_map(|link| link.earliest_progress(now))
-            .min()
-    }
-
-    /// Account, in bulk, exactly the stall events naive per-cycle
-    /// stepping would have recorded over the skipped window
-    /// `now..target`: for each creditless link, its pipe head (current
-    /// or arriving mid-window at `t`) blocks for `target - max(t, now)`
-    /// cycles. Supersedes `blocked_heads(now) * delta`, which missed
-    /// heads arriving inside windows extended past their arrival by
-    /// [`Self::earliest_progress`].
-    pub fn account_skipped_window(&mut self, now: Cycle, target: Cycle) {
-        let events: u64 = self
-            .links
-            .iter()
-            .map(|link| link.window_stalls(now, target))
-            .sum();
-        self.skipped_stall_events += events;
+        self.links.iter().map(|l| l.stall_events).sum()
     }
 
     /// Occupancy/stall counters aggregated over every link (max of high
-    /// waters, sum of stalls and grows). Host-side reporting only — not
-    /// part of the bit-identity contract.
+    /// waters, sum of stalls and grows). Host-side reporting, kept
+    /// outside [`crate::stats::Stats`].
     pub fn snapshot(&self) -> PortSnapshot {
         let mut s = PortSnapshot::default();
         for link in &self.links {
@@ -234,194 +110,85 @@ impl<T> Network<T> {
     }
 }
 
-/// Draining iterator bounded by ejection bandwidth.
-pub struct EjectIter<'a, T> {
-    link: &'a mut Link<T>,
-    left: u32,
-}
-
-impl<T> Iterator for EjectIter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        self.link.pop_one()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn message_arrives_after_latency() {
-        let mut n: Network<u32> = Network::new(2, 10, 4, 1, 8);
-        n.send(0, 1, 42);
-        for now in 0..10 {
-            n.step(now);
-            assert!(!n.has_pending(1), "too early at {now}");
+    fn step_all<T>(n: &mut Network<T>, now: Cycle) {
+        for link in &mut n.links {
+            link.step(now);
         }
-        n.step(10);
-        assert_eq!(n.pop(1).collect::<Vec<_>>(), vec![42]);
     }
 
     #[test]
-    fn ejection_bandwidth_is_capped() {
-        let mut n: Network<u32> = Network::new(1, 0, 8, 2, 8);
-        for i in 0..5 {
-            n.send(0, 0, i);
+    fn message_arrives_after_latency() {
+        let mut n: Network<u32> = Network::new(2, 10, 4, 8);
+        assert_eq!(n.send(0, 1, 42), 10);
+        for now in 0..10 {
+            step_all(&mut n, now);
+            assert!(!n.link(1).has_pending(), "too early at {now}");
         }
-        n.step(0);
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![4]);
+        step_all(&mut n, 10);
+        assert_eq!(n.link(1).pop_one(), Some(42));
     }
 
     #[test]
     fn full_ejection_queue_blocks_only_its_own_pipe() {
-        let mut n: Network<u32> = Network::new(2, 0, 2, 1, 8);
+        let mut n: Network<u32> = Network::new(2, 0, 2, 8);
         // Overfill destination 0, and send one message to destination 1.
         for i in 0..3 {
             n.send(0, 0, i);
         }
         n.send(0, 1, 99);
-        n.step(0);
+        step_all(&mut n, 0);
         // Crossbar outputs are independent: dst 1 is deliverable even
         // though dst 0's queue is full and its pipe backed up.
-        assert!(n.has_pending(1));
+        assert!(n.link(1).has_pending());
         assert!(n.stall_events() > 0);
         assert_eq!(n.in_flight(), 4);
-        // Drain dst 0 (bandwidth 1 ⇒ one message per pop), then its
-        // blocked message advances into the freed slot.
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![0]);
-        n.step(1);
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![1]);
-        n.step(2);
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), vec![2]);
+        // Drain dst 0 one message per cycle; its blocked message
+        // advances into the freed slot.
+        assert_eq!(n.link(0).pop_one(), Some(0));
+        step_all(&mut n, 1);
+        assert_eq!(n.link(0).pop_one(), Some(1));
+        step_all(&mut n, 2);
+        assert_eq!(n.link(0).pop_one(), Some(2));
     }
 
     #[test]
     fn order_is_preserved_per_destination() {
-        let mut n: Network<u32> = Network::new(1, 3, 16, 16, 16);
+        let mut n: Network<u32> = Network::new(1, 3, 16, 16);
         for i in 0..10 {
             n.send(i as Cycle, 0, i);
         }
         for now in 0..20 {
-            n.step(now);
+            step_all(&mut n, now);
         }
-        assert_eq!(n.pop(0).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn probes_track_arrivals_blocks_and_horizon() {
-        let mut n: Network<u32> = Network::new(2, 5, 1, 1, 4);
-        assert!(!n.can_deliver(0));
-        assert_eq!(n.earliest_arrival(0), None);
-        n.send(0, 0, 1);
-        n.send(0, 0, 2);
-        n.send(3, 1, 3);
-        // Nothing arrives before the latency elapses.
-        assert!(!n.can_deliver(4));
-        assert_eq!(n.earliest_arrival(4), Some(5));
-        assert!(n.can_deliver(5));
-        n.step(5);
-        assert!(n.has_ejected());
-        // dst 0's second message arrived but its 1-deep queue is full.
-        assert_eq!(n.blocked_heads(5), 1);
-        assert!(!n.can_deliver(5), "only the blocked head remains at 5");
-        // dst 1's message is the sole future arrival.
-        assert_eq!(n.earliest_arrival(5), Some(8));
-        assert_eq!(n.pop_one(0), Some(1));
-        assert!(n.can_deliver(5), "freed slot unblocks the head");
-    }
-
-    #[test]
-    fn credit_aware_horizon_skips_backpressured_links() {
-        let mut n: Network<u32> = Network::new(2, 5, 1, 1, 4);
-        n.send(0, 0, 1); // arrives at 5
-        n.send(0, 0, 2); // arrives at 5, will block behind the first
-        n.step(5);
-        assert_eq!(n.pop_one(0), Some(1));
-        n.step(5); // message 2 takes the freed credit: dst 0 full again
-        n.send(5, 0, 3); // arrives at 10 behind a creditless queue
-        n.send(7, 1, 4); // arrives at 12 on a free link
-        // Plain arrival horizon sees dst 0's t=10; the credit-aware one
-        // knows dst 0 cannot progress and reports dst 1's t=12.
-        assert_eq!(n.earliest_arrival(6), Some(10));
-        assert_eq!(n.earliest_progress(6), Some(12));
-        // Bulk window accounting: dst 0's head arrives at 10 and blocks
-        // for cycles 10 and 11 of the window 6..12.
-        let before = n.stall_events();
-        n.account_skipped_window(6, 12);
-        assert_eq!(n.stall_events() - before, 2);
-    }
-
-    #[test]
-    fn ejected_count_stays_consistent_across_drain_paths() {
-        let mut n: Network<u32> = Network::new(2, 0, 4, 2, 8);
-        for i in 0..4 {
-            n.send(0, (i % 2) as usize, i);
-        }
-        n.step(0);
-        assert_eq!(n.in_flight(), 4);
-        assert!(n.has_ejected());
-        let _ = n.pop(0).collect::<Vec<_>>(); // iterator path
-        assert_eq!(n.in_flight(), 2);
-        let _ = n.pop_one(1); // single-pop path
-        assert_eq!(n.in_flight(), 1);
-        let _ = n.pop_one(1);
-        assert!(!n.has_ejected());
-        assert_eq!(n.in_flight(), 0);
+        let got: Vec<u32> = std::iter::from_fn(|| n.link(0).pop_one()).collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn in_flight_counts_pipe_and_eject() {
-        let mut n: Network<u32> = Network::new(1, 5, 4, 1, 4);
+        let mut n: Network<u32> = Network::new(1, 5, 4, 4);
         n.send(0, 0, 1);
         n.send(0, 0, 2);
         assert_eq!(n.in_flight(), 2);
         for now in 0..=5 {
-            n.step(now);
+            step_all(&mut n, now);
         }
         assert_eq!(n.in_flight(), 2); // now in eject queue
-        let _ = n.pop(0).next();
+        let _ = n.link(0).pop_one();
         assert_eq!(n.in_flight(), 1);
     }
 
     #[test]
-    fn link_sharding_view_matches_whole_network_stepping() {
-        // Stepping links individually through `links_mut` (as the
-        // parallel engine does) must behave exactly like `Network::step`.
-        let mut whole: Network<u32> = Network::new(3, 2, 2, 1, 8);
-        let mut sharded: Network<u32> = Network::new(3, 2, 2, 1, 8);
-        for i in 0..9u32 {
-            whole.send(0, (i % 3) as usize, i);
-            sharded.send(0, (i % 3) as usize, i);
-        }
-        for now in 0..8 {
-            whole.step(now);
-            for link in sharded.links_mut() {
-                link.step(now);
-            }
-            for d in 0..3 {
-                assert_eq!(whole.peek(d), sharded.peek(d), "dst {d} at {now}");
-                assert_eq!(whole.pop_one(d), sharded.links_mut()[d].pop_one());
-            }
-        }
-        assert_eq!(whole.stall_events(), sharded.stall_events());
-        assert_eq!(whole.in_flight(), sharded.in_flight());
-    }
-
-    #[test]
     fn snapshot_aggregates_links() {
-        let mut n: Network<u32> = Network::new(2, 0, 1, 1, 2);
+        let mut n: Network<u32> = Network::new(2, 0, 1, 2);
         for i in 0..3 {
             n.send(0, 0, i);
         }
-        n.step(0);
+        step_all(&mut n, 0);
         let s = n.snapshot();
         assert!(s.high_water >= 2, "pipe held 3 before stepping");
         assert!(s.credit_stalls > 0, "blocked head counts an eject stall");

@@ -55,14 +55,12 @@ pub mod kernel;
 pub mod linemap;
 pub mod mshr;
 pub mod partition;
-pub mod pool;
 pub mod port;
 pub mod prefetch;
 pub mod sched;
 pub mod sm;
 pub mod stats;
 pub mod tenant;
-pub mod topo;
 pub mod trace;
 pub mod types;
 pub mod warp;

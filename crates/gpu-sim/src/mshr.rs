@@ -125,17 +125,6 @@ impl MshrFile {
         self.entries.contains(line)
     }
 
-    /// Whether a demand miss to `line` would merge into an existing
-    /// entry (the entry exists and has a free merge slot). Side-effect
-    /// free twin of the merge arm of [`Self::demand_miss`], used by the
-    /// fast-forward progress probe.
-    #[inline]
-    pub fn can_merge(&self, line: Addr) -> bool {
-        self.entries
-            .get(line)
-            .is_some_and(|e| e.waiters.len() < self.merge_capacity)
-    }
-
     /// Track a demand miss for `line`, registering `waiter`.
     pub fn demand_miss(&mut self, line: Addr, waiter: Waiter) -> MshrOutcome {
         if let Some(e) = self.entries.get_mut(line) {
@@ -306,22 +295,6 @@ mod tests {
         );
         let e = m.complete(0x100);
         assert!(!e.prefetch_origin, "origin stays demand");
-    }
-
-    #[test]
-    fn can_merge_mirrors_demand_miss_merge_arm() {
-        let mut m = MshrFile::new(2, 2);
-        assert!(!m.can_merge(0x100), "absent line never merges");
-        assert_eq!(m.demand_miss(0x100, w(0)), MshrOutcome::Allocated);
-        assert!(m.can_merge(0x100));
-        assert_eq!(
-            m.demand_miss(0x100, w(1)),
-            MshrOutcome::Merged {
-                hit_inflight_prefetch: false
-            }
-        );
-        assert!(!m.can_merge(0x100), "merge capacity exhausted");
-        assert_eq!(m.demand_miss(0x100, w(2)), MshrOutcome::ReservationFail);
     }
 
     #[test]

@@ -198,47 +198,47 @@ impl MemoryPartition {
         self.in_demand.peek().or_else(|| self.in_prefetch.peek())
     }
 
-    /// Whether a [`Self::step`] at `now` would change partition state
-    /// (beyond the per-cycle stall counter, which the clock skip accounts
-    /// analytically). DRAM completions are covered by the *channel's*
-    /// progress probe, not here. Side-effect free: uses `Cache::probe`
-    /// and `MshrFile::can_merge` instead of their mutating twins.
-    pub fn can_progress(&self, now: Cycle, dram: &DramChannel) -> bool {
-        if !self.reply_out.is_empty() || !self.pf_reply_out.is_empty() {
-            return true; // the GPU drains replies into the networks
-        }
-        if self.hit_pipe.peek().is_some_and(|&(t, _)| t <= now) {
-            return true;
-        }
-        if !self.wb_q.is_empty() && dram.can_accept() {
-            return true;
-        }
-        let Some(req) = self.input_head() else {
-            return false;
-        };
-        match req.kind {
-            AccessKind::Store => true,
-            AccessKind::DemandLoad | AccessKind::Prefetch => {
-                self.l2.probe(req.line)
-                    || self.mshr.can_merge(req.line)
-                    || (!self.mshr.contains(req.line)
-                        && dram.can_accept()
-                        && self.mshr.free() > 0)
-            }
-        }
+    /// Whether replies wait to be sent into the reply networks.
+    #[inline]
+    pub fn has_replies(&self) -> bool {
+        !self.reply_out.is_empty() || !self.pf_reply_out.is_empty()
+    }
+
+    /// Whether requests or write-backs wait to be serviced; without them
+    /// only an external event or [`Self::next_event`] gives
+    /// [`Self::step`] anything to do.
+    #[inline]
+    pub fn has_queued_work(&self) -> bool {
+        !self.in_demand.is_empty() || !self.in_prefetch.is_empty() || !self.wb_q.is_empty()
+    }
+
+    /// Whether a free DRAM queue slot could let [`Self::step`] progress:
+    /// a write-back is queued, or the input head is a load that would
+    /// allocate an MSHR entry (heads that hit in L2 or merge never wait
+    /// for the DRAM queue).
+    #[inline]
+    pub fn waits_for_dram_slot(&self) -> bool {
+        !self.wb_q.is_empty()
+            || self
+                .input_head()
+                .is_some_and(|r| r.kind != AccessKind::Store && !self.mshr.contains(r.line))
     }
 
     /// Earliest strictly-future local event: the next L2 hit maturing.
-    /// Every other way this partition un-stalls (DRAM completion, DRAM
-    /// queue space, MSHR release) is driven by channel progress, which
-    /// the channel's own `next_event` covers.
+    /// Every other way a stalled partition un-stalls (a DRAM fill, DRAM
+    /// queue space, an accepted request) is an event the cycle loop
+    /// delivers from outside.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.hit_pipe.peek().map(|&(t, _)| t).filter(|&t| t > now)
     }
 
-    /// Account for `delta` skipped quiescent cycles: a stalled input
-    /// head would have retried (and recorded a stall) once per cycle.
+    /// Account for `delta` skipped cycles in which [`Self::step`] would
+    /// have changed nothing: a stalled input head would have retried
+    /// (and recorded a stall) once per cycle.
     pub fn account_skipped(&mut self, delta: u64) {
+        if delta == 0 {
+            return;
+        }
         if let Some(req) = self.input_head() {
             debug_assert!(
                 req.kind != AccessKind::Store,
@@ -262,11 +262,16 @@ impl MemoryPartition {
     }
 
     /// Service up to one input request, drain the hit pipe, and process
-    /// DRAM completions destined for this partition.
-    pub fn step(&mut self, now: Cycle, dram: &mut DramChannel, dram_done: &[DramRequest]) {
+    /// DRAM completions destined for this partition. Returns whether
+    /// anything changed beyond the per-cycle stall counter; a step that
+    /// returns `false` repeats identically until an external event or
+    /// [`Self::next_event`].
+    pub fn step(&mut self, now: Cycle, dram: &mut DramChannel, dram_done: &[DramRequest]) -> bool {
+        let mut progressed = false;
         // DRAM fills for this partition → L2 fill + replies.
         for req in dram_done.iter().filter(|r| r.partition == self.id) {
             debug_assert!(!req.is_write);
+            progressed = true;
             self.stall_memo = None;
             let mut entry = self.mshr.complete(req.line);
             debug_assert!(entry.line == req.line);
@@ -296,6 +301,7 @@ impl MemoryPartition {
         // Drain pending write-backs opportunistically (lowest priority
         // at the DRAM queue, batched into row hits by FR-FCFS).
         while !self.wb_q.is_empty() && dram.can_accept() {
+            progressed = true;
             let (line, kernel) = self.wb_q.pop().expect("checked non-empty");
             dram.push(DramRequest {
                 line,
@@ -312,6 +318,7 @@ impl MemoryPartition {
             if t > now {
                 break;
             }
+            progressed = true;
             self.hit_pipe.pop();
             if r.is_prefetch {
                 self.pf_reply_out.push(r);
@@ -320,7 +327,12 @@ impl MemoryPartition {
             }
         }
 
-        // One new request per cycle (L2 bank port); demands first.
+        self.service_input(now, dram) || progressed
+    }
+
+    /// The L2 bank port: service one input request, demands first.
+    /// Returns `false` when the port is idle or its head stalls.
+    fn service_input(&mut self, now: Cycle, dram: &mut DramChannel) -> bool {
         let from_demand = !self.in_demand.is_empty();
         let queue = if from_demand {
             &self.in_demand
@@ -328,7 +340,7 @@ impl MemoryPartition {
             &self.in_prefetch
         };
         let Some(&req) = queue.peek() else {
-            return;
+            return false;
         };
         match req.kind {
             AccessKind::Store => {
@@ -354,7 +366,7 @@ impl MemoryPartition {
                         || self.mshr.contains(req.line)
                     {
                         self.stats.dram_queue_stalls += 1;
-                        return;
+                        return false;
                     }
                     self.stall_memo = None;
                 }
@@ -398,6 +410,7 @@ impl MemoryPartition {
                                     self.stats.dram_queue_stalls += 1;
                                     // Merge capacity exhausted: retry.
                                     self.stall_memo = Some(req.line);
+                                    return false;
                                 }
                                 MshrOutcome::Allocated => {
                                     unreachable!("contains() implies merge")
@@ -407,7 +420,7 @@ impl MemoryPartition {
                             if !dram.can_accept() || self.mshr.free() == 0 {
                                 self.stats.dram_queue_stalls += 1;
                                 self.stall_memo = Some(req.line);
-                                return;
+                                return false;
                             }
                             let out = self.mshr.demand_miss(req.line, Waiter { warp: 0 });
                             debug_assert_eq!(out, MshrOutcome::Allocated);
@@ -436,6 +449,7 @@ impl MemoryPartition {
                 }
             }
         }
+        true
     }
 }
 

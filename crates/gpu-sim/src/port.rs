@@ -19,12 +19,11 @@
 //!   fixed latency mature into the bounded eject queue, and a full eject
 //!   queue backs the pipe up without affecting other links.
 //!
-//! None of the occupancy/stall counters here feed [`crate::stats::Stats`]:
-//! fast-forward skips a stalled component's cycles wholesale, so a
-//! skipped producer never retries `try_push` and per-port stall counts
-//! would diverge between stepping engines. They surface through
-//! [`crate::stats::LinkReport`] instead, which is exempt from the
-//! bit-identity contract (see DESIGN.md §9d).
+//! None of the occupancy/stall counters here feed [`crate::stats::Stats`];
+//! they surface through [`crate::stats::LinkReport`]. A blocked link the
+//! cycle loop leaves unstepped is charged its stall events in bulk
+//! ([`Link::account_skipped`]), so the report reads the same under
+//! naive and wake-driven stepping (see DESIGN.md §9d).
 
 use crate::types::Cycle;
 
@@ -395,9 +394,8 @@ impl<T> Iterator for PortDrain<'_, T> {
 }
 
 /// One crossbar output: a timed pipe of in-flight messages feeding a
-/// bounded eject [`Port`]. Links are fully independent — the parallel
-/// engine hands each memory-side shard exclusive `&mut` access to its
-/// own links.
+/// bounded eject [`Port`]. Links are fully independent: a full eject
+/// queue backs up only its own pipe.
 #[derive(Debug)]
 pub struct Link<T> {
     /// In-flight messages (arrival cycle, payload); arrival cycles are
@@ -472,64 +470,35 @@ impl<T> Link<T> {
         self.eject.pop()
     }
 
-    /// Whether a [`Link::step`] at `now` would move at least one message
-    /// into the eject queue.
+    /// The cycle before which [`Link::step`] is a no-op: the pipe head's
+    /// arrival (`Cycle::MAX` when the pipe is empty), at or below the
+    /// current cycle while an arrived head is blocked.
     #[inline]
-    pub fn can_deliver(&self, now: Cycle) -> bool {
-        self.pipe
-            .front()
-            .is_some_and(|&(t, _)| t <= now && self.eject.credits() > 0)
+    pub fn wake_at(&self) -> Cycle {
+        self.wake_at
     }
 
-    /// Whether the pipe head has arrived but is blocked on a full eject
-    /// queue.
+    /// Whether the eject queue has a free credit for the next arrival.
     #[inline]
-    pub fn blocked_head(&self, now: Cycle) -> bool {
-        self.pipe
-            .front()
-            .is_some_and(|&(t, _)| t <= now && self.eject.credits() == 0)
+    pub fn has_room(&self) -> bool {
+        self.eject.credits() > 0
     }
 
-    /// Earliest strictly-future pipe arrival on this link.
-    #[inline]
-    pub fn earliest_arrival(&self, now: Cycle) -> Option<Cycle> {
-        self.pipe.front().map(|&(t, _)| t).filter(|&t| t > now)
-    }
-
-    /// Earliest future cycle at which this link could make *progress* a
-    /// consumer can observe, for fast-forward horizon planning. Unlike
-    /// [`Link::earliest_arrival`], a link whose eject queue is out of
-    /// credits reports `None`: with zero credits, a pipe arrival only
-    /// joins the stalled head — nothing becomes deliverable until a
-    /// consumer pops the eject queue, and consumers are by definition
-    /// quiescent for the whole window being planned. Callers must only
-    /// use this when the eject queue has already been drained into the
-    /// quiescent consumer (the skip gate checks `has_pending`).
-    #[inline]
-    pub fn earliest_progress(&self, now: Cycle) -> Option<Cycle> {
-        if self.eject.credits() == 0 {
-            None
-        } else {
-            self.earliest_arrival(now)
-        }
-    }
-
-    /// Stall events this link would accrue if every cycle in
-    /// `now..target` were stepped naively with no consumer pops: one per
-    /// cycle the pipe head sits arrived-but-blocked on a creditless
-    /// eject queue. With credits available the head would move instead,
-    /// so the count is zero; with zero credits the head (arriving at
-    /// `t`, possibly mid-window) blocks for `target - max(t, now)`
-    /// cycles. Used by the fast-forward path to keep congestion
-    /// diagnostics identical to naive stepping across skipped windows.
-    #[inline]
-    pub fn window_stalls(&self, now: Cycle, target: Cycle) -> u64 {
+    /// Charge the stall events naive stepping would have recorded over
+    /// the unstepped cycles `from..to`, during which neither this link
+    /// nor its consumer acted: one per cycle the pipe head sits
+    /// arrived-but-blocked on a full eject queue. With a free credit an
+    /// arrival would have moved instead (so a link with room is never
+    /// left unstepped past an arrival), and a head arriving at `t`
+    /// mid-window blocks for `to - max(t, from)` cycles.
+    pub fn account_skipped(&mut self, from: Cycle, to: Cycle) {
         if self.eject.credits() > 0 {
-            return 0;
+            return;
         }
-        match self.pipe.front() {
-            Some(&(t, _)) => target.saturating_sub(t.max(now)),
-            None => 0,
+        if let Some(&(t, _)) = self.pipe.front() {
+            let stalls = to.saturating_sub(t.max(from));
+            self.stall_events += stalls;
+            self.eject.credit_stalls += stalls;
         }
     }
 
@@ -645,42 +614,24 @@ mod tests {
         let mut l: Link<u32> = Link::new(1, 4);
         l.send(5, 1);
         l.send(5, 2);
-        assert!(!l.can_deliver(4));
-        assert_eq!(l.earliest_arrival(4), Some(5));
+        l.step(4);
+        assert!(!l.has_pending(), "nothing arrives early");
+        assert_eq!(l.wake_at(), 5);
         l.step(5);
         assert!(l.has_pending());
-        assert!(l.blocked_head(5), "1-deep eject, second arrived");
+        assert!(!l.has_room(), "1-deep eject, second arrived");
+        assert!(l.wake_at() <= 5, "a blocked head keeps the link due");
         assert!(l.stall_events > 0);
         assert_eq!(l.pop_one(), Some(1));
-        assert!(l.can_deliver(5), "freed credit unblocks the head");
+        assert!(l.has_room(), "freed credit unblocks the head");
         l.step(5);
         assert_eq!(l.pop_one(), Some(2));
         assert_eq!(l.in_flight(), 0);
+        assert_eq!(l.wake_at(), Cycle::MAX);
     }
 
     #[test]
-    fn earliest_progress_ignores_creditless_links() {
-        let mut l: Link<u32> = Link::new(1, 4);
-        l.send(5, 1);
-        l.send(7, 2);
-        // Credits available: progress == arrival.
-        assert_eq!(l.earliest_progress(4), Some(5));
-        l.step(5);
-        assert_eq!(l.pop_one(), Some(1));
-        l.step(6);
-        // Head (t=7) not yet arrived, credit free: still a progress event.
-        assert_eq!(l.earliest_progress(6), Some(7));
-        // Fill the eject queue: the t=7 arrival can only join the queue
-        // of blocked messages — no observable progress.
-        l.send(9, 3);
-        l.step(7);
-        assert!(l.has_pending());
-        assert_eq!(l.earliest_arrival(7), Some(9));
-        assert_eq!(l.earliest_progress(7), None);
-    }
-
-    #[test]
-    fn window_stalls_reproduces_naive_per_cycle_accounting() {
+    fn account_skipped_reproduces_naive_per_cycle_accounting() {
         // Naive reference: step every cycle, count stall_events.
         let make = || {
             let mut l: Link<u32> = Link::new(1, 4);
@@ -692,19 +643,20 @@ mod tests {
         for now in 0..=12 {
             naive.step(now);
         }
-        let mut fast = make();
-        fast.step(0);
-        fast.step(1);
-        fast.step(2); // head ejects, credit drops to 0
-        let analytic = fast.window_stalls(3, 13); // window covers 3..=12
-        fast.stall_events += analytic;
-        assert_eq!(fast.stall_events, naive.stall_events);
-        assert_eq!(analytic, 8, "t=5 head blocked for cycles 5..=12");
+        let mut skipped = make();
+        skipped.step(0);
+        skipped.step(1);
+        skipped.step(2); // head ejects, credit drops to 0
+        skipped.account_skipped(3, 13); // window covers 3..=12
+        assert_eq!(skipped.stall_events, naive.stall_events);
+        assert_eq!(skipped.stall_events, 8, "t=5 head blocked for cycles 5..=12");
+        assert_eq!(skipped.snapshot().credit_stalls, naive.snapshot().credit_stalls);
         // No credits but an empty pipe: nothing to stall.
         let mut idle: Link<u32> = Link::new(1, 4);
         idle.send(0, 1);
         idle.step(0);
-        assert_eq!(idle.window_stalls(1, 100), 0);
+        idle.account_skipped(1, 100);
+        assert_eq!(idle.stall_events, 0);
     }
 
     #[test]

@@ -45,18 +45,11 @@ pub trait WarpScheduler: Send {
     /// longer runs ahead of its CTA (§V-A: leading warps are prioritized
     /// "until they compute the base address").
     fn on_leading_done(&mut self, _w: WarpSlot) {}
-    /// Choose one warp to issue at `now`.
+    /// Choose one warp to issue at `now`. A pick that finds no issuable
+    /// warp must leave the scheduler unchanged: the cycle loop parks an
+    /// SM whose step changes nothing.
     fn pick(&mut self, now: Cycle, can_issue: &mut dyn FnMut(WarpSlot) -> bool)
         -> Option<WarpSlot>;
-    /// Whether [`Self::pick`] would return `Some` for this `can_issue`
-    /// predicate, *without* mutating scheduler state (`pick` may advance
-    /// rotation cursors on success, so it cannot be used as a probe).
-    /// The fast-forward clock skip relies on this being boolean-equal to
-    /// `pick(..).is_some()`; the conservative default (`true`) merely
-    /// disables skipping for schedulers that do not override it.
-    fn has_candidate(&self, _can_issue: &mut dyn FnMut(WarpSlot) -> bool) -> bool {
-        true
-    }
 }
 
 /// Loose round-robin over all resident warps.
@@ -130,10 +123,6 @@ impl WarpScheduler for LrrScheduler {
                 return None;
             }
         }
-    }
-
-    fn has_candidate(&self, can_issue: &mut dyn FnMut(WarpSlot) -> bool) -> bool {
-        self.warps.iter().any(can_issue)
     }
 }
 
@@ -225,12 +214,6 @@ impl WarpScheduler for GtoScheduler {
             }
         }
         None
-    }
-
-    fn has_candidate(&self, can_issue: &mut dyn FnMut(WarpSlot) -> bool) -> bool {
-        // `leading` and `current` are always members of `warps`, so the
-        // launch-order scan alone decides whether any pick can succeed.
-        self.warps.iter().any(can_issue)
     }
 }
 

@@ -302,13 +302,8 @@ impl WarpScheduler for TwoLevelScheduler {
         can_issue: &mut dyn FnMut(WarpSlot) -> bool,
     ) -> Option<WarpSlot> {
         // Oldest-first within the (priority-ordered) ready queue.
+        // Promotion happens only in event handlers, never here.
         self.ready.iter().find(|&w| can_issue(w))
-    }
-
-    fn has_candidate(&self, can_issue: &mut dyn FnMut(WarpSlot) -> bool) -> bool {
-        // Promotion happens only in event handlers, never inside `pick`,
-        // so the ready queue alone decides issueability.
-        self.ready.iter().any(can_issue)
     }
 }
 

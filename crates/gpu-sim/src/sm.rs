@@ -107,10 +107,7 @@ pub struct Sm {
     /// interference monitor at window boundaries. Level `L > 0` gates
     /// the tenant's *memory* instructions to cycles where
     /// `now & ((1 << L) - 1) == 0` — a deterministic duty cycle that
-    /// needs no extra state. Deliberately ignored by
-    /// [`Self::can_progress`]: the probe over-approximates (spurious
-    /// `true` falls back to naive stepping), which keeps fast-forward
-    /// safe under any throttle schedule.
+    /// needs no extra state; [`Self::next_event`] names the next slot.
     throttle: [u8; MAX_TENANTS],
     scratch_lines: Vec<Addr>,
     pf_scratch: Vec<PrefetchRequest>,
@@ -253,16 +250,6 @@ impl Sm {
         self.active_warps
     }
 
-    /// Host-time cost estimate of stepping this SM one cycle, for the
-    /// load-aware shard planner: a stepped SM walks its scheduler and
-    /// pipeline roughly in proportion to its resident warps, with a
-    /// constant floor for the fixed per-step bookkeeping. Host-side
-    /// scheduling hint only — never feeds simulated state.
-    #[inline]
-    pub fn load_weight(&self) -> u64 {
-        1 + self.active_warps as u64
-    }
-
     /// Whether the SM has fully drained (no warps, queues, or misses).
     pub fn is_idle(&self) -> bool {
         self.active_warps == 0
@@ -278,6 +265,12 @@ impl Sm {
     /// strictly precede prefetches.
     pub fn pop_outbound(&mut self) -> Option<MemRequest> {
         self.inject_q.pop().or_else(|| self.pf_inject_q.pop())
+    }
+
+    /// Whether outbound requests wait for the interconnect.
+    #[inline]
+    pub fn has_outbound(&self) -> bool {
+        !self.inject_q.is_empty() || !self.pf_inject_q.is_empty()
     }
 
     /// Occupancy/stall counters aggregated over every port in this SM.
@@ -376,83 +369,20 @@ impl Sm {
     /// is the table of co-resident kernel contexts; each warp executes
     /// the program of the context it was launched under (index 0 in the
     /// single-kernel legacy path).
-    pub fn step(&mut self, now: Cycle, kernels: &[Kernel], completed: &mut Vec<CtaCoord>) {
-        self.mature_hits(now);
-        self.ldst_cycle(now);
-        self.issue_cycle(now, kernels, completed);
+    ///
+    /// Returns whether anything changed beyond the per-cycle stall
+    /// counters. With empty outbound queues, a step that returns `false`
+    /// repeats identically — [`Self::account_skipped`] charges it — until
+    /// [`Self::next_event`] or an external event (a fill, a CTA launch, a
+    /// throttle change).
+    pub fn step(&mut self, now: Cycle, kernels: &[Kernel], completed: &mut Vec<CtaCoord>) -> bool {
+        let mut progressed = self.mature_hits(now);
+        progressed |= self.ldst_cycle(now);
+        progressed |= self.issue_cycle(now, kernels, completed);
         if self.waiting_mem > 0 {
             self.stats.mem_wait_cycles += 1;
         }
-    }
-
-    /// Whether a [`Self::step`] at `now` would change any architectural
-    /// or statistics state — the SM leg of the fast-forward probe. Must
-    /// stay in lockstep with the step path: every `true` arm corresponds
-    /// to an action `step` would take this cycle, and `false` means the
-    /// cycle is provably a no-op (given empty inject queues, which the
-    /// GPU-level probe checks via the first arm).
-    pub fn can_progress(&self, now: Cycle, kernels: &[Kernel]) -> bool {
-        // A matured L1 hit completes a load.
-        if self.hit_pipe.peek().is_some_and(|&(t, _)| t <= now) {
-            return true;
-        }
-        // Outbound traffic: the GPU drains these into the request
-        // networks every cycle, unconditionally.
-        if !self.inject_q.is_empty() || !self.pf_inject_q.is_empty() {
-            return true;
-        }
-        // Demand port. `inject_q` is empty here, so the outbound
-        // backpressure arms cannot fire: a store head always advances,
-        // and a load head advances unless its sole recourse is an MSHR
-        // reservation that fails.
-        if let Some(inst) = self.mem_q.peek() {
-            if inst.is_store {
-                return true;
-            }
-            let line = inst.lines[inst.next];
-            if self.l1d.probe(line)
-                || self.pf_inflight.contains(line)
-                || self.mshr.can_merge(line)
-                || (!self.mshr.contains(line) && self.mshr.free() > 0)
-            {
-                return true;
-            }
-        }
-        // Prefetch port: the head ages out, drops as redundant, or
-        // issues (`pf_inject_q` is empty here, so only the in-flight
-        // cap can block it).
-        if let Some(&(t, ref req)) = self.pf_q.peek() {
-            if now.saturating_sub(t) > self.cfg.prefetch_max_age as Cycle
-                || self.l1d.probe(req.line)
-                || self.mshr.contains(req.line)
-                || self.pf_inflight.contains(req.line)
-                || self.pf_inflight.len() < self.cfg.prefetch_queue_depth
-            {
-                return true;
-            }
-        }
-        // Issue stage: any schedulable warp. The closure matches the
-        // predicate `issue_cycle` hands to `pick`, except that it
-        // ignores tenant throttling — a deliberate over-approximation
-        // (a spurious `true` only costs a naive step), which is what
-        // keeps quiescence verdicts independent of the interference
-        // monitor's throttle schedule.
-        if self.active_warps > 0 {
-            let mem_q_open = self.mem_q.credits() > 0;
-            let warps = &self.warps;
-            let issuable_at = &self.issuable_at;
-            let mut can_issue = |w: WarpSlot| {
-                issuable_at[w] <= now
-                    && (mem_q_open
-                        || !kernels[warps[w].kernel as usize]
-                            .program
-                            .op_is_mem(warps[w].pc))
-            };
-            if self.scheduler.has_candidate(&mut can_issue) {
-                return true;
-            }
-        }
-        false
+        progressed
     }
 
     /// Earliest future cycle (strictly after `now`) at which this SM can
@@ -465,19 +395,31 @@ impl Sm {
             .map(|&(t, _)| t)
             .filter(|&t| t > now);
         // Execution-latency timers on Ready warps (over-approximation:
-        // a wake may still find nothing issuable, which is harmless).
-        let wake = self.warps.iter().filter_map(|w| w.wake_event(now)).min();
+        // a wake may still find nothing issuable, which is harmless),
+        // read from the dense `issuable_at` mirror (`Cycle::MAX` for
+        // warps that are not Ready).
+        let wake = self.issuable_at.iter().copied().filter(|&t| t > now).min();
         // The queued prefetch head ages out when `now' - t` first
         // exceeds `prefetch_max_age`.
         let pf_age = self
             .pf_q
             .peek()
             .map(|&(t, _)| t + self.cfg.prefetch_max_age as Cycle + 1);
-        [hit, wake, pf_age].into_iter().flatten().min()
+        // A throttled tenant's memory ops issue only in duty-cycle slots.
+        let duty = (self.active_warps > 0)
+            .then(|| {
+                self.throttle
+                    .iter()
+                    .filter(|&&level| level > 0)
+                    .map(|&level| ((now >> level) + 1) << level)
+                    .min()
+            })
+            .flatten();
+        [hit, wake, pf_age, duty].into_iter().flatten().min()
     }
 
-    /// Replicate the statistics side effects of `delta` quiescent naive
-    /// steps (cycles in which [`Self::can_progress`] is `false`).
+    /// Replicate the statistics side effects of `delta` steps that
+    /// change nothing (see [`Self::step`]).
     pub fn account_skipped(&mut self, delta: u64) {
         if self.active_warps > 0 {
             // `issue_cycle` finds no candidate every skipped cycle.
@@ -488,40 +430,50 @@ impl Sm {
         }
         if !self.mem_q.is_empty() {
             // The LD/ST head is a load whose only path is a failing MSHR
-            // reservation (all other head outcomes count as progress),
+            // reservation (an outbound-backpressure stall leaves the
+            // outbound queue non-empty, so the SM is never idle in it),
             // and it replays once per cycle.
             self.stats.l1d_reservation_fails += delta;
         }
     }
 
-    fn mature_hits(&mut self, now: Cycle) {
+    fn mature_hits(&mut self, now: Cycle) -> bool {
+        let mut matured = false;
         while let Some(&(t, w)) = self.hit_pipe.peek() {
             if t > now {
                 break;
             }
             self.hit_pipe.pop();
             self.complete_load(w);
+            matured = true;
         }
+        matured
     }
 
     /// LD/ST unit cycle. The demand port services the instruction queue;
     /// prefetches inject through their own (rate-limited) port — their
     /// lower priority is enforced by the MSHR reservation and by demand
-    /// requests preceding them in the outbound queue.
-    fn ldst_cycle(&mut self, now: Cycle) {
-        if !self.mem_q.is_empty() {
-            self.demand_port_cycle(now);
-        }
+    /// requests preceding them in the outbound queue. Returns whether
+    /// either port changed anything.
+    fn ldst_cycle(&mut self, now: Cycle) -> bool {
+        let demand = !self.mem_q.is_empty() && self.demand_port_cycle(now);
+        // Every prefetch-port action (age-out, redundant drop, issue)
+        // pops the queue, so its length tells whether the port acted.
+        let queued = self.pf_q.len();
         for _ in 0..self.cfg.prefetch_issue_per_cycle {
             if !self.prefetch_port_cycle(now) {
                 break;
             }
         }
+        demand || self.pf_q.len() != queued
     }
 
-    fn demand_port_cycle(&mut self, now: Cycle) {
+    /// Present the LD/ST head's next line to L1. Returns `false` when
+    /// the head stalls (a failed MSHR reservation or outbound
+    /// backpressure) and `true` when it advanced.
+    fn demand_port_cycle(&mut self, now: Cycle) -> bool {
         let Some(inst) = self.mem_q.peek_mut() else {
-            return;
+            return false;
         };
         let line = inst.lines[inst.next];
         let warp = inst.warp;
@@ -531,7 +483,7 @@ impl Sm {
         if is_store {
             if self.inject_q.credits() == 0 {
                 self.inject_q.note_stall();
-                return; // outbound backpressure; retry
+                return false; // outbound backpressure; retry
             }
             // Write-evict, no-allocate: drop a stale copy.
             if self.l1d.invalidate(line).is_some() {
@@ -540,7 +492,7 @@ impl Sm {
             self.stats.store_accesses += 1;
             self.push_request(line, AccessKind::Store);
             self.advance_mem_inst();
-            return;
+            return true;
         }
 
         // Memoized stall: the head already missed L1 (no fill since — a
@@ -556,7 +508,7 @@ impl Sm {
                     || self.mshr.free() == 0)
             {
                 self.stats.l1d_reservation_fails += 1;
-                return;
+                return false;
             }
             self.stall_memo = None;
         }
@@ -590,14 +542,14 @@ impl Sm {
                     }
                     pf.waiters.push(warp);
                     self.advance_mem_inst();
-                    return;
+                    return true;
                 }
                 let will_allocate = !self.mshr.contains(line);
                 if will_allocate && self.inject_q.credits() == 0 {
                     self.inject_q.note_stall();
                     self.stats.l1d_reservation_fails += 1;
                     self.stall_memo = Some(line);
-                    return;
+                    return false;
                 }
                 match self.mshr.demand_miss(line, Waiter { warp }) {
                     MshrOutcome::Allocated => {
@@ -629,10 +581,12 @@ impl Sm {
                         self.stats.l1d_reservation_fails += 1;
                         // Head of queue replays next cycle.
                         self.stall_memo = Some(line);
+                        return false;
                     }
                 }
             }
         }
+        true
     }
 
     fn advance_mem_inst(&mut self) {
@@ -736,9 +690,10 @@ impl Sm {
         }
     }
 
-    fn issue_cycle(&mut self, now: Cycle, kernels: &[Kernel], completed: &mut Vec<CtaCoord>) {
+    /// Issue one warp instruction; returns whether a warp issued.
+    fn issue_cycle(&mut self, now: Cycle, kernels: &[Kernel], completed: &mut Vec<CtaCoord>) -> bool {
         if self.active_warps == 0 {
-            return;
+            return false;
         }
         let mem_q_open = self.mem_q.credits() > 0;
         let warps = &self.warps;
@@ -777,9 +732,10 @@ impl Sm {
         };
         let Some(w) = self.scheduler.pick(now, &mut can_issue) else {
             self.stats.stall_cycles += 1;
-            return;
+            return false;
         };
         self.execute(now, w, kernels, completed);
+        true
     }
 
     fn execute(&mut self, now: Cycle, w: WarpSlot, kernels: &[Kernel], completed: &mut Vec<CtaCoord>) {

@@ -12,11 +12,10 @@ use crate::port::PortSnapshot;
 /// run: ring high-water marks, credit-stall counts, and growth-valve
 /// activations, aggregated per subsystem by [`crate::gpu::Gpu::link_report`].
 ///
-/// Deliberately **not** part of [`Stats`] and exempt from the
-/// bit-identity contract: event-horizon fast-forward elides the cycles a
-/// stalled producer would have spent retrying, so credit-stall counts
-/// legitimately differ between the naive and fast engines even though
-/// every architectural statistic matches.
+/// Host-side observability kept outside [`Stats`]. Naive and
+/// wake-driven stepping report the same numbers: a producer is stepped
+/// in every cycle it stalls on credits, except a blocked request link,
+/// whose stalls are charged in bulk for the cycles it sits out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkReport {
     /// Demand request network (SM → partition crossbar links).
@@ -35,8 +34,6 @@ pub struct LinkReport {
     pub partition_ports: PortSnapshot,
     /// DRAM channel FR-FCFS request queues.
     pub dram_queues: PortSnapshot,
-    /// Fused-injection staging rings (phase-1 → phase-2 hand-off).
-    pub staging: PortSnapshot,
 }
 
 impl LinkReport {
@@ -50,17 +47,15 @@ impl LinkReport {
         t.absorb(self.sm_ports);
         t.absorb(self.partition_ports);
         t.absorb(self.dram_queues);
-        t.absorb(self.staging);
         t
     }
 }
 
-/// Host-side view of the adaptive engine-selection controller: the
-/// current per-window ns-per-cycle EMA samples for the sequential and
-/// parallel engines, plus decision counters. Like [`LinkReport`], this
-/// measures *host* execution and is exempt from the bit-identity
-/// contract — wall-clock samples legitimately differ between runs even
-/// though every architectural statistic matches.
+/// Report of the adaptive sequential-vs-parallel engine selector that
+/// earlier simulator versions ran: per-window ns-per-cycle EMAs and
+/// decision counters. The simulator is sequential now, so every new
+/// record carries the all-zero default; the type keeps the record
+/// format, and archives written with real samples, readable.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdaptReport {
     /// EMA of host nanoseconds per simulated cycle under the sequential

@@ -19,14 +19,14 @@
 //! that is thrashing the shared L2/DRAM path (see
 //! [`InterferenceMonitor`]). The monitor reads only simulated state, so
 //! its decisions — and therefore all statistics — remain bit-identical
-//! across the naive, fast-forward, and parallel engines.
+//! under naive and wake-driven stepping.
 
 use crate::cta_scheduler::CtaDistributor;
 use crate::kernel::Kernel;
 use crate::types::{Cycle, MAX_TENANTS};
 
-/// Cycles per interference-monitor window (matches the adaptive
-/// engine-selection window; CIAO samples at epoch granularity too).
+/// Cycles per interference-monitor window (CIAO samples at epoch
+/// granularity too).
 pub const TENANT_WINDOW: Cycle = 4096;
 
 /// How co-resident kernels share the machine's SMs.

@@ -122,15 +122,6 @@ impl WarpCtx {
     pub fn can_issue(&self, now: Cycle) -> bool {
         self.state == WarpState::Ready && self.busy_until <= now
     }
-
-    /// Future cycle at which this warp's execution-latency timer expires,
-    /// if it is Ready but still gated (`busy_until > now`). Warps in any
-    /// other state wake only through external events (fills, barriers),
-    /// which the fast-forward probe tracks elsewhere.
-    #[inline]
-    pub fn wake_event(&self, now: Cycle) -> Option<Cycle> {
-        (self.state == WarpState::Ready && self.busy_until > now).then_some(self.busy_until)
-    }
 }
 
 #[cfg(test)]
@@ -170,18 +161,6 @@ mod tests {
         w.busy_until = 10;
         assert!(!w.can_issue(9));
         assert!(w.can_issue(10));
-    }
-
-    #[test]
-    fn wake_event_tracks_ready_busy_warps_only() {
-        let mut w = WarpCtx::vacant();
-        assert_eq!(w.wake_event(0), None, "vacant slot has no timer");
-        w.launch(0, 0, CtaCoord::from_linear(0, 1), false, 0);
-        w.busy_until = 10;
-        assert_eq!(w.wake_event(5), Some(10));
-        assert_eq!(w.wake_event(10), None, "already issuable");
-        w.state = WarpState::WaitingMem;
-        assert_eq!(w.wake_event(5), None, "memory waits wake via fills");
     }
 
     #[test]

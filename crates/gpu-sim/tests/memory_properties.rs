@@ -67,7 +67,7 @@ proptest! {
         latency in 0u32..40,
         depth in 1usize..8,
     ) {
-        let mut net: Network<(usize, usize)> = Network::new(4, latency, depth, 1, 8);
+        let mut net: Network<(usize, usize)> = Network::new(4, latency, depth, 8);
         let mut sent: Vec<Vec<usize>> = vec![Vec::new(); 4];
         let mut got: Vec<Vec<usize>> = vec![Vec::new(); 4];
         let mut now = 0u64;
@@ -79,10 +79,11 @@ proptest! {
         let total = msgs.len();
         let mut received = 0usize;
         while received < total {
-            net.step(now);
             for (d, bucket) in got.iter_mut().enumerate() {
                 // Bandwidth 1 per destination per cycle.
-                if let Some((dst, seq)) = net.pop_one(d) {
+                let link = net.link(d);
+                link.step(now);
+                if let Some((dst, seq)) = link.pop_one() {
                     prop_assert_eq!(dst, d, "misrouted message");
                     bucket.push(seq);
                     received += 1;

@@ -1,5 +1,5 @@
 //! One-off probe: print the per-subsystem LinkReport for a workload.
-use caps_metrics::{run_one_with_opts, Engine, RunOpts, RunSpec};
+use caps_metrics::{run_one, Engine, RunSpec};
 use caps_workloads::{all_workloads, Scale};
 
 fn main() {
@@ -11,6 +11,6 @@ fn main() {
     let engine = if args[1] == "caps" { Engine::Caps } else { Engine::Baseline };
     let mut spec = RunSpec::paper(w, engine);
     spec.scale = Scale::Full;
-    let r = run_one_with_opts(&spec, &RunOpts { fast_forward: Some(true), sim_threads: Some(1), ..RunOpts::default() });
+    let r = run_one(&spec);
     println!("{:#?}", r.links);
 }

@@ -34,14 +34,11 @@
 //! (unlinked), and a reader that loses the race observes a clean miss —
 //! never a torn record.
 //!
-//! The execution-mode fields of [`RunOpts`] (`fast_forward`,
-//! `sim_threads`) are deliberately **excluded** from the key: they are
-//! host-execution-only and bit-identity across them is enforced by the
-//! differential suites, so a record computed by any engine mode
-//! satisfies every other. `max_cycles` *is* keyed — a lower ceiling
-//! truncates runs. The only per-record field exempt from bit-identity is
-//! the [`LinkReport`](caps_gpu_sim::stats::LinkReport) observability
-//! block, which may legitimately differ across execution modes.
+//! The execution-mode field of [`RunOpts`] (`fast_forward`) is
+//! deliberately **excluded** from the key: naive and wake-driven
+//! stepping produce identical records (enforced by the differential
+//! suites), so a record computed in either mode satisfies the other.
+//! `max_cycles` *is* keyed — a lower ceiling truncates runs.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -487,12 +484,7 @@ mod tests {
         let a = job_digest(&spec(), &RunOpts::default());
         let modes = RunOpts {
             fast_forward: Some(false),
-            sim_threads: Some(4),
             max_cycles: None,
-            adaptive: Some(false),
-            pin: Some(false),
-            shard_rebalance_window: Some(7),
-            shard_plan: Some(vec![0, 1, 1, 2, 2]),
         };
         assert_eq!(a, job_digest(&spec(), &modes));
     }

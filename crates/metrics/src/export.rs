@@ -116,8 +116,7 @@ macro_rules! for_each_link_field {
             pf_reply_net,
             sm_ports,
             partition_ports,
-            dram_queues,
-            staging
+            dram_queues
         )
     };
 }
@@ -198,9 +197,8 @@ fn kernel_stats_from_value(v: &Value) -> Result<KernelStats, Error> {
     Ok(k)
 }
 
-/// Serialize an adaptive-controller report (shared with the simulation
-/// service's `stats` reply, which streams recent per-run samples).
-pub fn adapt_to_value(a: &AdaptReport) -> Value {
+/// Serialize an adaptive-controller report.
+fn adapt_to_value(a: &AdaptReport) -> Value {
     obj(vec![
         ("seq_ns_per_cycle", Value::Float(a.seq_ns_per_cycle)),
         ("par_ns_per_cycle", Value::Float(a.par_ns_per_cycle)),
@@ -211,7 +209,7 @@ pub fn adapt_to_value(a: &AdaptReport) -> Value {
 }
 
 /// Parse an adaptive-controller report.
-pub fn adapt_from_value(v: &Value) -> Result<AdaptReport, Error> {
+fn adapt_from_value(v: &Value) -> Result<AdaptReport, Error> {
     Ok(AdaptReport {
         seq_ns_per_cycle: v.require("seq_ns_per_cycle")?.as_f64()?,
         par_ns_per_cycle: v.require("par_ns_per_cycle")?.as_f64()?,
@@ -523,55 +521,26 @@ pub fn opts_to_value(o: &RunOpts) -> Value {
     if let Some(b) = o.fast_forward {
         fields.push(("fast_forward".to_string(), Value::Bool(b)));
     }
-    if let Some(n) = o.sim_threads {
-        fields.push(("sim_threads".to_string(), Value::UInt(n as u64)));
-    }
     if let Some(n) = o.max_cycles {
         fields.push(("max_cycles".to_string(), Value::UInt(n)));
-    }
-    if let Some(b) = o.adaptive {
-        fields.push(("adaptive".to_string(), Value::Bool(b)));
-    }
-    if let Some(b) = o.pin {
-        fields.push(("pin".to_string(), Value::Bool(b)));
-    }
-    if let Some(w) = o.shard_rebalance_window {
-        fields.push(("shard_rebalance_window".to_string(), Value::UInt(w)));
-    }
-    if let Some(plan) = &o.shard_plan {
-        fields.push((
-            "shard_plan".to_string(),
-            Value::Arr(plan.iter().map(|&b| Value::UInt(b as u64)).collect()),
-        ));
     }
     Value::Obj(fields)
 }
 
-/// Parse run options (missing fields mean "environment default").
+/// Parse run options (missing fields mean "environment default"; the
+/// parallel-engine knobs older clients may send are ignored).
 pub fn opts_from_value(v: &Value) -> Result<RunOpts, Error> {
-    let bool_field = |name: &str| -> Result<Option<bool>, Error> {
-        match v.get(name) {
-            None => Ok(None),
-            Some(Value::Bool(b)) => Ok(Some(*b)),
-            Some(other) => Err(Error::schema(format!("expected bool {name}, got {other:?}"))),
-        }
-    };
     Ok(RunOpts {
-        fast_forward: bool_field("fast_forward")?,
-        sim_threads: v.get("sim_threads").map(|n| Ok(n.as_u64()? as usize)).transpose()?,
+        fast_forward: match v.get("fast_forward") {
+            None => None,
+            Some(Value::Bool(b)) => Some(*b),
+            Some(other) => {
+                return Err(Error::schema(format!(
+                    "expected bool fast_forward, got {other:?}"
+                )))
+            }
+        },
         max_cycles: v.get("max_cycles").map(Value::as_u64).transpose()?,
-        adaptive: bool_field("adaptive")?,
-        pin: bool_field("pin")?,
-        shard_rebalance_window: v.get("shard_rebalance_window").map(Value::as_u64).transpose()?,
-        shard_plan: v
-            .get("shard_plan")
-            .map(|p| {
-                p.as_arr()?
-                    .iter()
-                    .map(|b| Ok(b.as_u64()? as usize))
-                    .collect::<Result<Vec<_>, Error>>()
-            })
-            .transpose()?,
     })
 }
 
@@ -696,14 +665,57 @@ mod tests {
 
         let full = RunOpts {
             fast_forward: Some(false),
-            sim_threads: Some(3),
             max_cycles: Some(12345),
-            adaptive: Some(true),
-            pin: Some(false),
-            shard_rebalance_window: Some(64),
-            shard_plan: Some(vec![0, 5, 10, 15]),
         };
         assert_eq!(opts_from_value(&opts_to_value(&full)).unwrap(), full);
+
+        // Options from clients of the parallel engine still parse.
+        let legacy = obj(vec![
+            ("sim_threads", Value::UInt(3)),
+            ("adaptive", Value::Bool(true)),
+            ("max_cycles", Value::UInt(7)),
+        ]);
+        assert_eq!(
+            opts_from_value(&legacy).unwrap(),
+            RunOpts {
+                max_cycles: Some(7),
+                ..RunOpts::default()
+            }
+        );
+    }
+
+    #[test]
+    fn records_with_staging_links_and_adapt_samples_parse() {
+        // Records archived by the parallel engine carry a `staging` link
+        // row and measured `adapt` samples.
+        let r = run_one(&RunSpec::small(Workload::Scn, Engine::Baseline));
+        let mut v = record_to_value(&r);
+        if let Value::Obj(fields) = &mut v {
+            for (k, f) in fields.iter_mut() {
+                match (k.as_str(), f) {
+                    ("links", Value::Obj(links)) => links.push((
+                        "staging".to_string(),
+                        snapshot_to_value(&PortSnapshot {
+                            high_water: 15,
+                            credit_stalls: 0,
+                            grows: 0,
+                        }),
+                    )),
+                    ("adapt", slot) => {
+                        *slot = adapt_to_value(&AdaptReport {
+                            seq_ns_per_cycle: 2100.0,
+                            windows: 3,
+                            ..AdaptReport::default()
+                        })
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let back = record_from_value(&v).expect("legacy shape parses");
+        assert_eq!(back.stats, r.stats);
+        assert_eq!(back.links, r.links);
+        assert_eq!(back.adapt.windows, 3);
     }
 
     #[test]

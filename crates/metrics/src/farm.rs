@@ -167,8 +167,8 @@ fn parse_hex_key(s: &str) -> Option<u128> {
 pub struct FarmJob {
     /// What to simulate.
     pub spec: RunSpec,
-    /// Host-execution overrides (fast-forward, intra-sim threads, cycle
-    /// ceiling). Only `max_cycles` participates in the content key.
+    /// Execution overrides (stepping mode, cycle ceiling). Only
+    /// `max_cycles` participates in the content key.
     pub opts: RunOpts,
 }
 

@@ -1,14 +1,11 @@
 //! Parallel experiment harness.
 //!
-//! Parallelism exists at two levels. The evaluation matrix — engines ×
+//! Parallelism lives across runs: the evaluation matrix — engines ×
 //! benchmarks × configuration sweeps — is embarrassingly parallel, and
 //! [`run_matrix`] fans runs out through the [sweep farm](crate::farm),
 //! which adds work-stealing workers, content-addressed result caching,
 //! and submission dedup while keeping results order-stable and every
-//! run deterministic. A single simulation can additionally use the
-//! phase-split parallel cycle engine (`RunOpts::sim_threads`, or the
-//! `GPU_SIM_THREADS` environment variable), which is bit-identical to
-//! sequential stepping for every thread count.
+//! run deterministic. Each simulation itself is one sequential loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -124,17 +121,15 @@ pub struct RunRecord {
     /// Energy breakdown under the default model.
     pub energy: EnergyBreakdown,
     /// Port/link occupancy and backpressure summary (host-side
-    /// observability; exempt from the bit-identity contract, unlike
-    /// `stats`).
+    /// observability kept outside `stats`).
     pub links: LinkReport,
     /// Per-tenant counters for co-runs, tenant 0 first (empty for solo
     /// runs). Attribution counters are part of the bit-identity
     /// surface; `start_cycle`/`finish_cycle` bound each tenant's
     /// residency window.
     pub per_kernel: Vec<KernelStats>,
-    /// Adaptive-controller summary (seq/par ns-per-cycle EMAs, window
-    /// and switch counts). Host-side observability like `links`: exempt
-    /// from the bit-identity contract.
+    /// Report of the engine selector earlier simulator versions ran;
+    /// always [`AdaptReport::default`] in new records.
     pub adapt: AdaptReport,
 }
 
@@ -146,31 +141,15 @@ impl RunRecord {
 }
 
 /// Per-run overrides for [`run_one_with_opts`]; `None`/default leaves
-/// the environment-derived behavior untouched. Every field is
-/// host-execution-only: no combination changes a run's statistics.
+/// the environment-derived behavior untouched.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Event-horizon fast-forward on/off (overrides `GPU_SIM_NO_SKIP`).
+    /// Wake-driven stepping on/off (overrides `GPU_SIM_NO_SKIP`); both
+    /// settings produce identical records.
     pub fast_forward: Option<bool>,
-    /// Intra-simulation worker count for the phase-split engine
-    /// (overrides `GPU_SIM_THREADS`; 1 = sequential).
-    pub sim_threads: Option<usize>,
     /// Cycle ceiling override (default [`caps_gpu_sim::gpu::DEFAULT_MAX_CYCLES`]);
     /// the differential suite uses it to bound full-scale runs.
     pub max_cycles: Option<u64>,
-    /// Measured seq-vs-par engine selection on/off (overrides
-    /// `GPU_SIM_ADAPT`). Benches force `Some(false)` so a requested
-    /// thread count is actually exercised.
-    pub adaptive: Option<bool>,
-    /// Pin phase-split workers to distinct cores (default on; the
-    /// `GPU_SIM_NO_PIN` environment opt-out still wins when set).
-    pub pin: Option<bool>,
-    /// Cycles between load-aware shard-plan rebalances.
-    pub shard_rebalance_window: Option<u64>,
-    /// Explicit initial shard plan (`sim_threads + 1` ascending SM
-    /// boundaries); the differential suite uses skewed plans to prove
-    /// any contiguous split is bit-identical.
-    pub shard_plan: Option<Vec<usize>>,
 }
 
 /// Execute one spec (blocking).
@@ -178,10 +157,10 @@ pub fn run_one(spec: &RunSpec) -> RunRecord {
     run_one_with_opts(spec, &RunOpts::default())
 }
 
-/// Execute one spec with event-horizon fast-forward explicitly on or
-/// off, overriding the `GPU_SIM_NO_SKIP` environment default. Both
-/// settings produce bit-identical records; differential tests and the
-/// throughput benchmark compare the two.
+/// Execute one spec with wake-driven stepping explicitly on or off,
+/// overriding the `GPU_SIM_NO_SKIP` environment default. Both settings
+/// produce bit-identical records; differential tests and the throughput
+/// benchmark compare the two.
 pub fn run_one_with_fast_forward(spec: &RunSpec, fast_forward: bool) -> RunRecord {
     run_one_with_opts(
         spec,
@@ -200,21 +179,6 @@ pub fn run_one_with_opts(spec: &RunSpec, opts: &RunOpts) -> RunRecord {
     let mut gpu = Gpu::new(cfg, kernel, &*factory);
     if let Some(on) = opts.fast_forward {
         gpu.set_fast_forward(on);
-    }
-    if let Some(n) = opts.sim_threads {
-        gpu.set_sim_threads(n);
-    }
-    if let Some(on) = opts.adaptive {
-        gpu.set_adaptive(on);
-    }
-    if let Some(on) = opts.pin {
-        gpu.set_pinning(on);
-    }
-    if let Some(w) = opts.shard_rebalance_window {
-        gpu.set_shard_rebalance_window(w);
-    }
-    if let Some(plan) = &opts.shard_plan {
-        gpu.set_shard_plan(plan.clone());
     }
     let max_cycles = opts
         .max_cycles

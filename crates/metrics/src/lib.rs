@@ -30,9 +30,9 @@ pub use cache::{job_digest, CacheCounters, CacheMode, ResultCache};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::Engine;
 pub use export::{
-    adapt_from_value, adapt_to_value, config_from_value, config_to_value, from_json, load,
-    opts_from_value, opts_to_value, record_from_value, record_to_value, save, spec_from_value,
-    spec_to_value, to_json, workload_from_abbr,
+    config_from_value, config_to_value, from_json, load, opts_from_value, opts_to_value,
+    record_from_value, record_to_value, save, spec_from_value, spec_to_value, to_json,
+    workload_from_abbr,
 };
 pub use farm::{set_remote_hook, Farm, FarmJob, FarmStats, PruneSet, RemoteBatch, RemoteHook};
 pub use caps_gpu_sim::tenant::Partitioning;

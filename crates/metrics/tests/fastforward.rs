@@ -1,10 +1,11 @@
-//! Differential property test for event-horizon fast-forward.
+//! Differential property test for wake-driven stepping.
 //!
-//! The simulator's run loop may jump over quiescent windows (cycles in
-//! which no component can make progress) in a single hop. The contract
-//! is strict: every [`caps_gpu_sim::stats::Stats`] field — and therefore
+//! The simulator's run loop visits only the components that can act in
+//! a cycle and jumps over cycles in which none can. The contract is
+//! strict: every [`caps_gpu_sim::stats::Stats`] field — and therefore
 //! every derived metric and energy number — must be **bit-identical** to
-//! naive cycle-by-cycle stepping, on every workload and engine.
+//! naive cycle-by-cycle stepping, on every workload and engine, and so
+//! must the link report.
 //!
 //! This suite runs the full workload suite at small scale under a
 //! representative cross-section of engines and compares the two modes
@@ -19,6 +20,11 @@ fn assert_modes_agree(spec: &RunSpec) {
     assert_eq!(
         fast.stats, naive.stats,
         "stats diverged on {} / {}",
+        fast.workload, fast.engine
+    );
+    assert_eq!(
+        fast.links, naive.links,
+        "link report diverged on {} / {}",
         fast.workload, fast.engine
     );
     assert_eq!(

@@ -5,55 +5,32 @@
 //! 1. **Degenerate-case equivalence** — a single-tenant co-run under
 //!    *any* partitioning policy is bit-identical to the classic
 //!    `run_launches` path (tenant 0 keeps identity address, PC, and
-//!    stats mappings), under every stepping engine and worker count.
-//! 2. **Cross-engine determinism** — a genuine co-run (two tenants,
+//!    stats mappings), under both stepping modes.
+//! 2. **Cross-mode determinism** — a genuine co-run (two tenants,
 //!    contended L2/DRAM, interference monitor live) produces identical
-//!    machine-wide `Stats` *and* identical per-tenant `KernelStats`
-//!    under naive stepping, event-horizon fast-forward, and the
-//!    phase-split parallel engine at 2 and 4 workers.
+//!    machine-wide `Stats`, per-tenant `KernelStats` and link reports
+//!    under naive and wake-driven stepping.
 
-use caps_metrics::{run_one_with_opts, Engine, Partitioning, RunOpts, RunRecord, RunSpec};
+use caps_metrics::{run_one_with_fast_forward, Engine, Partitioning, RunSpec};
 use caps_workloads::Workload;
 
-/// The stepping-engine grid: (fast_forward, sim_threads). Adaptive
-/// selection is pinned off so each requested engine actually runs.
-const MODES: [(bool, usize); 4] = [(false, 1), (true, 1), (true, 2), (true, 4)];
-
-fn run_mode(spec: &RunSpec, fast_forward: bool, threads: usize) -> RunRecord {
-    run_one_with_opts(
-        spec,
-        &RunOpts {
-            fast_forward: Some(fast_forward),
-            sim_threads: Some(threads),
-            adaptive: Some(false),
-            ..RunOpts::default()
-        },
-    )
-}
-
 #[test]
-fn exclusive_single_tenant_matches_run_launches_across_engines() {
+fn exclusive_single_tenant_matches_run_launches_across_modes() {
     for engine in [Engine::Baseline, Engine::Caps] {
         let solo = RunSpec::small(Workload::Scn, engine);
-        let reference = run_mode(&solo, false, 1);
-        // The solo path itself must agree across engines...
-        for (ff, threads) in MODES {
-            let r = run_mode(&solo, ff, threads);
-            assert_eq!(
-                r.stats, reference.stats,
-                "solo {engine:?} diverged at ff={ff} threads={threads}"
-            );
-        }
+        let reference = run_one_with_fast_forward(&solo, false);
+        // The solo path itself must agree across modes...
+        let r = run_one_with_fast_forward(&solo, true);
+        assert_eq!(r.stats, reference.stats, "solo {engine:?} diverged");
         // ...and the single-tenant co-run path must be bit-identical to
-        // it under every policy × engine × worker count.
+        // it under every policy × mode.
         for policy in Partitioning::all() {
             let tenant = solo.clone().co_resident(Vec::new(), policy);
-            for (ff, threads) in MODES {
-                let r = run_mode(&tenant, ff, threads);
+            for ff in [false, true] {
+                let r = run_one_with_fast_forward(&tenant, ff);
                 assert_eq!(
                     r.stats, reference.stats,
-                    "{engine:?}/{policy} single-tenant diverged from run_launches \
-                     at ff={ff} threads={threads}"
+                    "{engine:?}/{policy} single-tenant diverged from run_launches at ff={ff}"
                 );
                 assert_eq!(r.per_kernel.len(), 1);
                 assert_eq!(
@@ -66,7 +43,7 @@ fn exclusive_single_tenant_matches_run_launches_across_engines() {
 }
 
 #[test]
-fn co_runs_are_bit_identical_across_engines() {
+fn co_runs_are_bit_identical_across_modes() {
     // Two pairings with different contention profiles: a streaming
     // scan against a latency-bound gather, and dense matrix reuse
     // against an irregular frontier sweep.
@@ -77,23 +54,22 @@ fn co_runs_are_bit_identical_across_engines() {
     for (a, b) in pairings {
         for policy in Partitioning::all() {
             let spec = RunSpec::small(a, Engine::Caps).co_resident(vec![b], policy);
-            let reference = run_mode(&spec, false, 1);
-            assert_eq!(reference.per_kernel.len(), 2);
+            let naive = run_one_with_fast_forward(&spec, false);
+            assert_eq!(naive.per_kernel.len(), 2);
             assert!(
-                reference.per_kernel.iter().all(|k| k.ctas_completed > 0),
+                naive.per_kernel.iter().all(|k| k.ctas_completed > 0),
                 "{a:?}+{b:?}/{policy}: both tenants must finish"
             );
-            for (ff, threads) in MODES[1..].iter().copied() {
-                let r = run_mode(&spec, ff, threads);
-                assert_eq!(
-                    r.stats, reference.stats,
-                    "{a:?}+{b:?}/{policy} machine stats diverged at ff={ff} threads={threads}"
-                );
-                assert_eq!(
-                    r.per_kernel, reference.per_kernel,
-                    "{a:?}+{b:?}/{policy} per-tenant stats diverged at ff={ff} threads={threads}"
-                );
-            }
+            let wake = run_one_with_fast_forward(&spec, true);
+            assert_eq!(
+                wake.stats, naive.stats,
+                "{a:?}+{b:?}/{policy} machine stats"
+            );
+            assert_eq!(
+                wake.per_kernel, naive.per_kernel,
+                "{a:?}+{b:?}/{policy} per-tenant stats"
+            );
+            assert_eq!(wake.links, naive.links, "{a:?}+{b:?}/{policy} link report");
         }
     }
 }
@@ -101,17 +77,15 @@ fn co_runs_are_bit_identical_across_engines() {
 #[test]
 fn throttle_baseline_is_deterministic_too() {
     // The no-throttle contention baseline (monitor observes but never
-    // acts) is its own content point: deterministic across engines and
+    // acts) is its own content point: deterministic across modes and
     // distinct in identity from the throttled run.
-    let mut spec =
-        RunSpec::small(Workload::Scn, Engine::Baseline).co_resident(vec![Workload::Mrq], Partitioning::Shared);
+    let mut spec = RunSpec::small(Workload::Scn, Engine::Baseline)
+        .co_resident(vec![Workload::Mrq], Partitioning::Shared);
     if let caps_metrics::Tenancy::Co { throttle, .. } = &mut spec.tenancy {
         *throttle = false;
     }
-    let reference = run_mode(&spec, false, 1);
-    for (ff, threads) in MODES[1..].iter().copied() {
-        let r = run_mode(&spec, ff, threads);
-        assert_eq!(r.stats, reference.stats, "ff={ff} threads={threads}");
-        assert_eq!(r.per_kernel, reference.per_kernel);
-    }
+    let naive = run_one_with_fast_forward(&spec, false);
+    let wake = run_one_with_fast_forward(&spec, true);
+    assert_eq!(wake.stats, naive.stats);
+    assert_eq!(wake.per_kernel, naive.per_kernel);
 }

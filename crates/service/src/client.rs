@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use caps_gpu_sim::stats::AdaptReport;
 use caps_metrics::{set_remote_hook, CacheCounters, FarmJob, FarmStats, RunRecord};
 
 use crate::proto::{LineReader, Request, Response};
@@ -93,11 +92,10 @@ impl Client {
         })
     }
 
-    /// `stats`: lifetime farm aggregate, cache counters, and recent
-    /// adaptive-controller samples.
-    pub fn server_stats(&mut self) -> io::Result<(FarmStats, CacheCounters, Vec<AdaptReport>)> {
+    /// `stats`: lifetime farm aggregate and cache counters.
+    pub fn server_stats(&mut self) -> io::Result<(FarmStats, CacheCounters)> {
         self.expect(&Request::Stats, |r| match r {
-            Response::Stats { farm, cache, adapt } => Ok((farm, cache, adapt)),
+            Response::Stats { farm, cache } => Ok((farm, cache)),
             other => Err(other),
         })
     }

@@ -29,11 +29,10 @@
 
 use std::io::{self, Read};
 
-use caps_gpu_sim::stats::AdaptReport;
 use caps_json::{obj, Value};
 use caps_metrics::{
-    adapt_from_value, adapt_to_value, opts_from_value, opts_to_value, record_from_value,
-    record_to_value, spec_from_value, spec_to_value, CacheCounters, FarmJob, FarmStats, RunRecord,
+    opts_from_value, opts_to_value, record_from_value, record_to_value, spec_from_value,
+    spec_to_value, CacheCounters, FarmJob, FarmStats, RunRecord,
 };
 
 /// Protocol revision, reported in `status` replies. Bump on any change
@@ -51,8 +50,7 @@ pub enum Request {
     Submit(Vec<FarmJob>),
     /// One-line server liveness/occupancy probe.
     Status,
-    /// Aggregate farm statistics, cache counters, and recent adaptive
-    /// engine-selection samples.
+    /// Aggregate farm statistics and cache counters.
     Stats,
     /// Merge content keys into the server-side prune set: jobs whose
     /// key is covered are skipped (`skipped` reply) instead of run.
@@ -102,9 +100,6 @@ pub enum Response {
         farm: FarmStats,
         /// The shared result cache's counters.
         cache: CacheCounters,
-        /// Most recent adaptive-controller reports (per-window seq/par
-        /// EMA samples), newest last, bounded ring.
-        adapt: Vec<AdaptReport>,
     },
     /// Reply to `prune`: the server-side set's new size.
     PruneAck {
@@ -309,14 +304,10 @@ impl Response {
                 ("batches", Value::UInt(*batches)),
                 ("jobs_done", Value::UInt(*jobs_done)),
             ]),
-            Response::Stats { farm, cache, adapt } => obj(vec![
+            Response::Stats { farm, cache } => obj(vec![
                 ("ev", Value::Str("stats".into())),
                 ("farm", farm_stats_to_value(farm)),
                 ("cache", counters_to_value(cache)),
-                (
-                    "adapt",
-                    Value::Arr(adapt.iter().map(adapt_to_value).collect()),
-                ),
             ]),
             Response::PruneAck { total } => obj(vec![
                 ("ev", Value::Str("prune_ack".into())),
@@ -368,16 +359,11 @@ impl Response {
                     jobs_done: u("jobs_done")?,
                 })
             }
+            // Servers that ran the adaptive engine selector also sent an
+            // `adapt` sample list; it is ignored.
             "stats" => Ok(Response::Stats {
                 farm: farm_stats_from_value(v.require("farm").map_err(|e| e.to_string())?)?,
                 cache: counters_from_value(v.require("cache").map_err(|e| e.to_string())?)?,
-                adapt: v
-                    .require("adapt")
-                    .and_then(|a| a.as_arr())
-                    .map_err(|e| e.to_string())?
-                    .iter()
-                    .map(|a| adapt_from_value(a).map_err(|e| e.to_string()))
-                    .collect::<Result<_, _>>()?,
             }),
             "prune_ack" => Ok(Response::PruneAck {
                 total: v
@@ -570,13 +556,6 @@ mod tests {
             Response::Stats {
                 farm: FarmStats::default(),
                 cache: CacheCounters::default(),
-                adapt: vec![AdaptReport {
-                    seq_ns_per_cycle: 12.5,
-                    par_ns_per_cycle: 7.25,
-                    windows: 9,
-                    par_windows: 4,
-                    switches: 2,
-                }],
             },
             Response::PruneAck { total: 56 },
             Response::Bye,
@@ -593,6 +572,18 @@ mod tests {
             let back = Response::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line);
         }
+        // A stats reply from a server that still sent adaptive-engine
+        // samples parses; the samples are dropped.
+        let mut legacy = Response::Stats {
+            farm: FarmStats::default(),
+            cache: CacheCounters::default(),
+        }
+        .to_value();
+        if let Value::Obj(fields) = &mut legacy {
+            fields.push(("adapt".to_string(), Value::Arr(vec![Value::UInt(1)])));
+        }
+        let back = Response::parse_line(&format!("{}\n", legacy.compact())).unwrap();
+        assert!(matches!(back, Response::Stats { .. }));
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! in a rare race.
 //!
 //! Lifecycle: [`Server::serve`] binds the socket (replacing a stale
-//! file), blocks SIGINT/SIGTERM, and polls accept + pending signals.
-//! Shutdown — by signal or by a `shutdown` request — stops accepting,
-//! lets in-flight connections finish their current batch, unlinks the
-//! socket file, and returns.
+//! file), blocks SIGINT/SIGTERM, and blocks in `accept`, so a new
+//! connection is served at once; a watcher thread turns a delivered
+//! signal into a shutdown request. Shutdown — by signal, by a `shutdown`
+//! request, or by [`Server::request_shutdown`] — wakes the accept with a
+//! connection of its own, stops accepting, lets in-flight connections
+//! finish their current batch, unlinks the socket file, and returns.
 //!
 //! Error containment: a malformed line earns an `error` reply and the
 //! connection lives on; a request that fails *validation* (a
@@ -24,7 +26,6 @@
 //! connection. The accept loop can not be killed by anything a client
 //! sends.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -32,17 +33,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use caps_gpu_sim::stats::AdaptReport;
-use caps_metrics::{Farm, FarmJob, FarmStats, PruneSet, ResultCache, RunRecord};
+use caps_metrics::{Farm, FarmJob, FarmStats, PruneSet, ResultCache};
 
 use crate::proto::{LineReader, Request, Response, PROTOCOL_VERSION};
 use crate::signal;
 
-/// How many recent [`AdaptReport`] samples the `stats` reply retains.
-pub const ADAPT_RING: usize = 64;
+/// How long the signal watcher waits per round: a delivered signal
+/// ends the wait at once; the bound is how late the watcher notices a
+/// shutdown requested otherwise, and so how long `serve` may take to
+/// return after it.
+const SIGNAL_WAIT: Duration = Duration::from_millis(20);
 
-/// Polling cadence of the accept loop (signal checks, idle wakeups).
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Pause after an `accept` error other than an interrupt, so a
+/// persistent failure (such as running out of descriptors) does not
+/// spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
 
 /// Per-connection read timeout: how often an idle connection thread
 /// re-checks the shutdown flag. [`LineReader`] keeps partial lines
@@ -71,7 +76,6 @@ pub struct Server {
     cache: ResultCache,
     prune: Mutex<PruneSet>,
     total: Mutex<FarmStats>,
-    adapt: Mutex<VecDeque<AdaptReport>>,
     connections: AtomicU64,
     batches: AtomicU64,
     jobs_done: AtomicU64,
@@ -86,7 +90,6 @@ impl Server {
             cache,
             prune: Mutex::new(PruneSet::new()),
             total: Mutex::new(FarmStats::default()),
-            adapt: Mutex::new(VecDeque::new()),
             connections: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
@@ -104,9 +107,14 @@ impl Server {
         &self.cache
     }
 
-    /// Ask the accept loop to exit after in-flight work drains.
+    /// Ask the accept loop to exit after in-flight work drains. Safe
+    /// to call from any thread, before or during [`Self::serve`].
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // Wake an accept blocked in `serve`. Fails harmlessly when
+            // nothing listens on the socket.
+            let _ = UnixStream::connect(&self.cfg.socket);
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -124,18 +132,20 @@ impl Server {
         // servers on one path is an operator error either way.
         let _ = std::fs::remove_file(&self.cfg.socket);
         let listener = UnixListener::bind(&self.cfg.socket)?;
-        listener.set_nonblocking(true)?;
         signal::block_shutdown_signals();
 
         std::thread::scope(|scope| {
-            loop {
-                if signal::shutdown_signal_pending() {
-                    self.request_shutdown();
+            scope.spawn(|| {
+                while !self.is_shutting_down() {
+                    if signal::wait_shutdown_signal(SIGNAL_WAIT) {
+                        self.request_shutdown();
+                    }
                 }
-                if self.is_shutting_down() {
-                    break;
-                }
+            });
+            while !self.is_shutting_down() {
                 match listener.accept() {
+                    // The connection that woke a shutdown is dropped.
+                    Ok(_) if self.is_shutting_down() => break,
                     Ok((stream, _)) => {
                         scope.spawn(move || {
                             // Isolate connection panics: the accept
@@ -146,11 +156,8 @@ impl Server {
                             );
                         });
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY),
                 }
             }
         });
@@ -239,13 +246,11 @@ impl Server {
             }
             Request::Stats => {
                 let farm = *lock(&self.total);
-                let adapt: Vec<AdaptReport> = lock(&self.adapt).iter().copied().collect();
                 write_response(
                     writer,
                     &Response::Stats {
                         farm,
                         cache: self.cache.counters(),
-                        adapt,
                     },
                 )?;
                 Ok(true)
@@ -293,7 +298,6 @@ impl Server {
         // first write error, stop writing, finish simulating.
         let mut write_err: Option<io::Error> = None;
         let (results, stats) = farm.run_pruned_streaming(jobs, &prune, |index, record| {
-            self.note_adapt(record);
             if write_err.is_none() {
                 if let Err(e) = write_response(
                     writer,
@@ -326,19 +330,6 @@ impl Server {
             }
         }
         write_response(writer, &Response::Done { stats })
-    }
-
-    /// Feed the bounded ring of recent adaptive-controller samples
-    /// (only runs where the controller actually evaluated windows).
-    fn note_adapt(&self, record: &RunRecord) {
-        if record.adapt.windows == 0 {
-            return;
-        }
-        let mut ring = lock(&self.adapt);
-        if ring.len() == ADAPT_RING {
-            ring.pop_front();
-        }
-        ring.push_back(record.adapt);
     }
 }
 

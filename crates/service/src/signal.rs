@@ -1,16 +1,16 @@
 //! Minimal signal handling for graceful server shutdown, without libc.
 //!
-//! The accept loop wants "did the operator press Ctrl-C / send
-//! SIGTERM?" as a *pollable* condition, not an asynchronous handler:
-//! an async handler would need a registered restorer trampoline
+//! The server wants "did the operator press Ctrl-C / send SIGTERM?" as a
+//! condition a thread can wait for, not an asynchronous handler: an
+//! async handler would need a registered restorer trampoline
 //! (`rt_sigaction`'s `SA_RESTORER` contract on x86_64) and careful
-//! async-signal-safety. Instead the server **blocks** SIGINT and
-//! SIGTERM on all threads (signal masks are inherited), then consumes
-//! pending ones with a zero-timeout `rt_sigtimedwait` once per accept
-//! iteration — the same raw-syscall idiom as
-//! [`caps_gpu_sim::topo::pin_current_thread`]. On non-x86_64-Linux
-//! targets both calls are no-ops and shutdown happens via the
-//! `shutdown` request only.
+//! async-signal-safety. Instead the server **blocks** SIGINT and SIGTERM
+//! on all threads (signal masks are inherited), and a watcher thread
+//! consumes pending ones with `rt_sigtimedwait`, a raw syscall. On
+//! non-x86_64-Linux targets both calls are no-ops and shutdown happens
+//! via the `shutdown` request only.
+
+use std::time::Duration;
 
 /// SIGINT | SIGTERM as a kernel sigset bitmask (bit `sig-1`).
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -23,21 +23,25 @@ pub fn block_shutdown_signals() -> bool {
     imp::block()
 }
 
-/// Consume a pending (blocked) SIGINT/SIGTERM without waiting. `true`
-/// when one was delivered since the last poll.
-pub fn shutdown_signal_pending() -> bool {
-    imp::poll()
+/// Wait up to `timeout` for a blocked SIGINT/SIGTERM and consume it.
+/// Returns `true` as soon as one is delivered, `false` on timeout.
+pub fn wait_shutdown_signal(timeout: Duration) -> bool {
+    imp::wait(timeout)
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
     use super::MASK;
+    use std::time::Duration;
 
     /// `rt_sigprocmask(SIG_BLOCK, &mask, NULL, 8)` — raw syscall, no
     /// libc in the workspace; the kernel ABI is stable.
     pub fn block() -> bool {
         let mask = [MASK];
         let ret: i64;
+        // SAFETY: rt_sigprocmask reads 8 bytes from `mask`, a live local
+        // array, and writes nothing (oldset is NULL); the asm clobbers
+        // only the registers declared below.
         unsafe {
             core::arch::asm!(
                 "syscall",
@@ -54,20 +58,27 @@ mod imp {
         ret == 0
     }
 
-    /// `rt_sigtimedwait(&mask, NULL, &{0,0}, 8)` — returns the signal
-    /// number if one of `mask` is pending, else `-EAGAIN` immediately
-    /// (zero timeout).
-    pub fn poll() -> bool {
+    /// `rt_sigtimedwait(&mask, NULL, &timeout, 8)` — returns the signal
+    /// number once one of `mask` is pending, else `-EAGAIN` when the
+    /// timeout expires (or `-EINTR`).
+    pub fn wait(timeout: Duration) -> bool {
         let mask = [MASK];
-        let timeout = [0i64; 2]; // struct timespec { 0, 0 }
+        // struct timespec { tv_sec, tv_nsec }
+        let timespec = [
+            timeout.as_secs().min(i64::MAX as u64) as i64,
+            i64::from(timeout.subsec_nanos()),
+        ];
         let ret: i64;
+        // SAFETY: rt_sigtimedwait reads 8 bytes from `mask` and 16 from
+        // `timespec`, both live locals, and writes nothing (siginfo is
+        // NULL); the asm clobbers only the registers declared below.
         unsafe {
             core::arch::asm!(
                 "syscall",
                 inlateout("rax") 128i64 => ret,  // __NR_rt_sigtimedwait
                 in("rdi") mask.as_ptr(),
                 in("rsi") 0i64,                  // siginfo = NULL
-                in("rdx") timeout.as_ptr(),
+                in("rdx") timespec.as_ptr(),
                 in("r10") 8i64,                  // sizeof(kernel sigset_t)
                 lateout("rcx") _,
                 lateout("r11") _,
@@ -80,11 +91,14 @@ mod imp {
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod imp {
+    use std::time::Duration;
+
     pub fn block() -> bool {
         false
     }
 
-    pub fn poll() -> bool {
+    pub fn wait(timeout: Duration) -> bool {
+        std::thread::sleep(timeout);
         false
     }
 }

@@ -10,7 +10,8 @@
 //!   byte-identical to the fresh first pass across the socket;
 //! * the `prune` request carries the `PruneSet`/`job_keys` archive
 //!   format from a farm-binary-style stats file into the server;
-//! * `shutdown` drains and unlinks the socket;
+//! * `shutdown`, by request or by [`Server::request_shutdown`], ends a
+//!   `serve` blocked in `accept` promptly, drains and unlinks the socket;
 //! * the remote hook routes a `Farm::new` batch through the server and
 //!   produces records byte-identical to a purely local farm.
 
@@ -202,9 +203,8 @@ fn concurrent_clients_get_bit_identical_records_and_cached_equals_fresh() {
     assert_eq!(stats.sims, 0, "second pass simulates nothing");
     assert_eq!(stats.hits(), jobs.len() as u64);
 
-    // The server's stats reply aggregates across all three batches and
-    // carries adaptive-controller samples for runs that had windows.
-    let (farm_total, counters, _adapt) = client.server_stats().expect("stats");
+    // The server's stats reply aggregates across all three batches.
+    let (farm_total, counters) = client.server_stats().expect("stats");
     assert_eq!(farm_total.jobs, 3 * jobs.len() as u64);
     assert!(farm_total.sims >= jobs.len() as u64);
     assert!(counters.stores >= jobs.len() as u64);
@@ -263,5 +263,44 @@ fn remote_hook_routes_farm_batches_and_shutdown_drains() {
     server.connect().shutdown().expect("shutdown");
     let mut server = server;
     server.thread.take().unwrap().join().expect("server thread");
+    assert!(!sock.exists(), "socket file removed on shutdown");
+}
+
+/// Wait for `serve()` to return, failing if it takes longer than
+/// `within` (`serve` blocks in `accept`, so a shutdown must wake it).
+fn assert_serve_returns(server: &mut ServerHandle, within: Duration) {
+    let thread = server.thread.take().expect("server running");
+    let deadline = std::time::Instant::now() + within;
+    while !thread.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve() did not return within {within:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    thread.join().expect("server thread");
+}
+
+#[test]
+fn shutdown_request_and_request_shutdown_both_end_serve_promptly() {
+    let bound = Duration::from_secs(5);
+
+    // By request, over the socket.
+    let (sock, cache_dir) = scratch("stopreq");
+    let mut server = start_server(&sock, &cache_dir, 1);
+    let mut client = server.connect();
+    client.status().expect("serving");
+    client.shutdown().expect("shutdown");
+    assert_serve_returns(&mut server, bound);
+    assert!(!sock.exists(), "socket file removed on shutdown");
+
+    // By a bare call from another thread, with an idle client still
+    // connected and no request in flight.
+    let (sock, cache_dir) = scratch("stopcall");
+    let mut server = start_server(&sock, &cache_dir, 1);
+    let mut idle = server.connect();
+    idle.status().expect("serving");
+    server.server.request_shutdown();
+    assert_serve_returns(&mut server, bound);
     assert!(!sock.exists(), "socket file removed on shutdown");
 }

@@ -1,6 +1,6 @@
 //! Figure-harness benches: times the regeneration machinery of each
 //! table/figure at reduced scale (the full-scale numbers are produced by
-//! the `fig*` binaries; see EXPERIMENTS.md).
+//! `run_all`; see EXPERIMENTS.md).
 
 use caps_workloads::{Scale, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};

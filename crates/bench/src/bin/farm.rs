@@ -31,43 +31,25 @@
 //! `--stats` and per-pass bench entries makes any run's output usable
 //! as such an archive.
 //!
-//! The flag surface and output renderers are shared with `simctl` (the
-//! simulation-service client) via `caps_bench::farmcli`, so `farm --out`
-//! and `simctl --out` are byte-comparable.
+//! The flag parser, the axis driver and the output renderers are shared
+//! with `simctl` (the simulation-service client) via `caps_bench::cli`,
+//! so `farm --out` and `simctl --out` are byte-comparable.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use caps_bench::farmcli::{
-    flag_value, parse_jobs, parse_prune, parse_scale, parse_workloads, print_tables, run_axes,
-    stats_json, sweep_summary_json,
+use caps_bench::cli::{
+    counters, print_tables, run_axes, stats_json, sweep_and_report, sweep_summary_json, Args,
 };
 use caps_json::{obj, Value};
 use caps_metrics::{CacheMode, Farm, ResultCache};
 use caps_workloads::{all_workloads, Scale};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: farm [--small] [--jobs N] [--cache-dir PATH] [--cache rw|ro|off]\n\
-         \x20           [--workloads A,B,..] [--out PATH] [--stats PATH] [--prune-against PATH]\n\
-         \x20      farm --bench [--small] [--jobs N] [--workloads A,B,..] [--out PATH]\n\
-         \x20           [--prune-against PATH]\n\
-         BENCH: {}",
-        all_workloads()
-            .iter()
-            .map(|w| w.abbr())
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    std::process::exit(2);
-}
-
-fn bench(args: &[String]) {
-    let scale = parse_scale(args);
-    let workloads = parse_workloads(args);
-    let jobs = parse_jobs(args);
-    let out = flag_value(args, "--out").unwrap_or_else(|| "BENCH_farm.json".to_string());
-    let prune = parse_prune(args);
+fn bench(args: &Args) {
+    let scale = args.scale();
+    let workloads = args.workloads();
+    let jobs = args.jobs();
+    let out = args.value("--out").unwrap_or("BENCH_farm.json");
+    let prune = args.prune();
 
     // A throwaway cache directory so the cold pass is genuinely cold and
     // the run leaves no state behind.
@@ -85,7 +67,8 @@ fn bench(args: &[String]) {
             cache.drop_index();
         }
         let t0 = Instant::now();
-        let (results, stats, job_keys) = run_axes(&farm, &workloads, scale, &prune);
+        let (results, stats, job_keys) =
+            run_axes(&workloads, scale, |batch| farm.run_pruned(batch, &prune));
         seconds[pi] = t0.elapsed().as_secs_f64();
         let summary = sweep_summary_json(&results);
         if pi == 0 {
@@ -97,16 +80,7 @@ fn bench(args: &[String]) {
                 "{pass} pass produced different sweep output than the cold pass"
             );
         }
-        eprintln!(
-            "{pass}: {:.3}s  jobs={} sims={} mem={} disk={} dedup={} pruned={}",
-            seconds[pi],
-            stats.jobs,
-            stats.sims,
-            stats.mem_hits,
-            stats.disk_hits,
-            stats.dedup,
-            stats.pruned
-        );
+        eprintln!("{pass}: {}", counters(seconds[pi], &stats));
         let mut entry = stats_json(&stats, &cache, seconds[pi], &job_keys);
         if let Value::Obj(fields) = &mut entry {
             fields.insert(0, ("pass".to_string(), Value::Str(pass.to_string())));
@@ -142,7 +116,7 @@ fn bench(args: &[String]) {
         ("warm_mem_speedup", Value::Float(seconds[0] / seconds[2])),
         ("passes", Value::Arr(passes)),
     ]);
-    std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    std::fs::write(out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!(
         "\nwrote {out} (warm-from-disk {:.1}x, warm-from-memory {:.1}x)",
         seconds[0] / seconds[1],
@@ -151,61 +125,39 @@ fn bench(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    if args.iter().any(|a| a == "--bench") {
+    let usage = format!(
+        "usage: farm [--small] [--jobs N] [--cache-dir PATH] [--cache rw|ro|off]\n\
+         \x20           [--workloads A,B,..] [--out PATH] [--stats PATH] [--prune-against PATH]\n\
+         \x20      farm --bench [--small] [--jobs N] [--workloads A,B,..] [--out PATH]\n\
+         \x20           [--prune-against PATH]\n\
+         BENCH: {}",
+        all_workloads()
+            .iter()
+            .map(|w| w.abbr())
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    let args = Args::parse(
+        &usage,
+        &["--small", "--bench"],
+        &[
+            "--jobs",
+            "--cache",
+            "--cache-dir",
+            "--workloads",
+            "--out",
+            "--stats",
+            "--prune-against",
+        ],
+    );
+    args.positional(0);
+    if args.flag("--bench") {
         bench(&args);
         return;
     }
-    let scale = parse_scale(&args);
-    let workloads = parse_workloads(&args);
-    let jobs = parse_jobs(&args);
-    let mode = match flag_value(&args, "--cache").as_deref() {
-        None | Some("rw") => CacheMode::ReadWrite,
-        Some("ro") => CacheMode::ReadOnly,
-        Some("off") => CacheMode::Off,
-        Some(other) => {
-            eprintln!("unknown cache mode {other:?} (rw|ro|off)");
-            usage()
-        }
-    };
-    let dir = flag_value(&args, "--cache-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(caps_metrics::cache::default_cache_dir);
-    let cache = ResultCache::new(mode, dir).with_max_bytes(caps_metrics::cache::default_cache_max_bytes());
-    let farm = Farm::new(&cache, jobs);
-    let prune = parse_prune(&args);
-
-    let t0 = Instant::now();
-    let (results, stats, job_keys) = run_axes(&farm, &workloads, scale, &prune);
-    let seconds = t0.elapsed().as_secs_f64();
-    print_tables(&results);
-    eprintln!(
-        "{:.3}s  jobs={} sims={} mem={} disk={} dedup={} pruned={}  (hit rate {:.1}%, cache dir {})",
-        seconds,
-        stats.jobs,
-        stats.sims,
-        stats.mem_hits,
-        stats.disk_hits,
-        stats.dedup,
-        stats.pruned,
-        stats.hit_rate() * 100.0,
-        cache.dir().display(),
-    );
-
-    if let Some(out) = flag_value(&args, "--out") {
-        std::fs::write(&out, sweep_summary_json(&results))
-            .unwrap_or_else(|e| panic!("write {out}: {e}"));
-        println!("wrote {out}");
-    }
-    if let Some(path) = flag_value(&args, "--stats") {
-        let mut doc = stats_json(&stats, &cache, seconds, &job_keys);
-        if let Value::Obj(fields) = &mut doc {
-            fields.insert(0, ("host".to_string(), caps_bench::host_json(jobs)));
-        }
-        std::fs::write(&path, doc.pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    let cache = args.cache();
+    let farm = Farm::new(&cache, args.jobs());
+    let prune = args.prune();
+    let source = format!("cache dir {}", cache.dir().display());
+    sweep_and_report(&args, &cache, &source, |jobs| farm.run_pruned(jobs, &prune));
 }

@@ -2,7 +2,7 @@
 //! print the full statistics.
 //!
 //! ```text
-//! run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler] [--threads N]
+//! run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler]
 //!   BENCH:  CP LPS BPR HSP MRQ STE CNV HST JC1 FFT SCN MM PVR CCL BFS KM
 //!   ENGINE: base intra inter mta nlp lap orch caps caps-nw
 //!           caps@lrr caps@tlv caps@gto
@@ -33,73 +33,40 @@
 
 use std::time::Instant;
 
+use caps_bench::cli::Args;
 use caps_gpu_sim::config::GpuConfig;
 use caps_json::{obj, Value};
 use caps_metrics::{run_one, run_one_with_fast_forward, Engine, Partitioning, RunSpec, Table};
 use caps_workloads::{all_workloads, Scale, Workload};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler] [--threads N]\n\
-         \x20      run --bench-throughput [--small] [--out PATH] [--workloads A,B,..]\n\
-         \x20      run --tenants A+B[,C+D..] [--small] [--out PATH]\n\
-         BENCH:  {}\n\
-         ENGINE: base intra inter mta nlp lap orch caps caps-nw caps@lrr caps@tlv caps@gto",
-        all_workloads()
-            .iter()
-            .map(|w| w.abbr())
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    std::process::exit(2);
-}
-
 /// Parse the `--tenants` pairing list: `SCN+MRQ,MM+BFS` → groups of
 /// co-resident workloads (2..=4 tenants each).
-fn parse_pairings(list: &str) -> Vec<Vec<Workload>> {
+fn parse_pairings(args: &Args, list: &str) -> Vec<Vec<Workload>> {
     list.split(',')
         .map(|group| {
             let tenants: Vec<Workload> = group
                 .split('+')
                 .map(|abbr| {
-                    caps_bench::parse_workload(abbr).unwrap_or_else(|e| {
-                        eprintln!("{e} (in --tenants)");
-                        usage()
-                    })
+                    caps_bench::parse_workload(abbr)
+                        .unwrap_or_else(|e| args.fail(format!("{e} (in --tenants)")))
                 })
                 .collect();
             if tenants.len() < 2 || tenants.len() > caps_gpu_sim::types::MAX_TENANTS {
-                eprintln!(
+                args.fail(format!(
                     "--tenants group {group:?} must name 2..={} workloads",
                     caps_gpu_sim::types::MAX_TENANTS
-                );
-                usage()
+                ));
             }
             tenants
         })
         .collect()
 }
 
-fn bench_tenants(args: &[String]) {
-    let scale = if args.iter().any(|a| a == "--small") {
-        Scale::Small
-    } else {
-        Scale::Full
-    };
+fn bench_tenants(args: &Args, list: &str) {
+    let scale = args.scale();
     let scale_str = if scale == Scale::Small { "small" } else { "full" };
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "TENANTS_corun.json".to_string());
-    let list = args
-        .iter()
-        .position(|a| a == "--tenants")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| usage());
-    let pairings = parse_pairings(&list);
+    let out = args.value("--out").unwrap_or("TENANTS_corun.json");
+    let pairings = parse_pairings(args, list);
     let engines = [Engine::Baseline, Engine::Caps];
     // The stepping modes every co-run must agree under:
     // (label, fast_forward).
@@ -226,7 +193,7 @@ fn bench_tenants(args: &[String]) {
         ("host", caps_bench::host_json(1)),
         ("entries", Value::Arr(entries)),
     ]);
-    std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    std::fs::write(out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("wrote {out}");
     if !drift.is_empty() {
         for d in &drift {
@@ -237,28 +204,10 @@ fn bench_tenants(args: &[String]) {
     println!("determinism: all co-runs bit-identical across stepping engines");
 }
 
-fn bench_throughput(args: &[String]) {
-    let scale = if args.iter().any(|a| a == "--small") {
-        Scale::Small
-    } else {
-        Scale::Full
-    };
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_throughput.json".to_string());
-    let workloads: Vec<Workload> = match args.iter().position(|a| a == "--workloads") {
-        Some(i) => {
-            let list = args.get(i + 1).cloned().unwrap_or_default();
-            caps_bench::parse_workload_list(&list).unwrap_or_else(|e| {
-                eprintln!("{e} (in --workloads)");
-                usage()
-            })
-        }
-        None => all_workloads(),
-    };
+fn bench_throughput(args: &Args) {
+    let scale = args.scale();
+    let out = args.value("--out").unwrap_or("BENCH_throughput.json");
+    let workloads = args.workloads();
     let reps = 7;
     let scale_str = if scale == Scale::Small { "small" } else { "full" };
     let engines = [Engine::Baseline, Engine::Caps];
@@ -350,29 +299,43 @@ fn bench_throughput(args: &[String]) {
         ("best_speedup", Value::Float(best)),
         ("entries", Value::Arr(entries)),
     ]);
-    std::fs::write(&out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    std::fs::write(out, doc.pretty()).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("\nwrote {out} (best wake-driven speedup {best:.2}x)");
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--bench-throughput") {
+    let usage = format!(
+        "usage: run <BENCH> <ENGINE> [--small] [--ctas N] [--kepler]\n\
+         \x20      run --bench-throughput [--small] [--out PATH] [--workloads A,B,..]\n\
+         \x20      run --tenants A+B[,C+D..] [--small] [--out PATH]\n\
+         BENCH:  {}\n\
+         ENGINE: base intra inter mta nlp lap orch caps caps-nw caps@lrr caps@tlv caps@gto",
+        all_workloads()
+            .iter()
+            .map(|w| w.abbr())
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    let args = Args::parse(
+        &usage,
+        &["--small", "--kepler", "--bench-throughput"],
+        &["--ctas", "--out", "--workloads", "--tenants"],
+    );
+    if args.flag("--bench-throughput") {
+        args.positional(0);
         bench_throughput(&args);
         return;
     }
-    if args.first().is_some_and(|a| a == "--tenants") {
-        bench_tenants(&args);
+    if let Some(list) = args.value("--tenants") {
+        args.positional(0);
+        bench_tenants(&args, list);
         return;
     }
-    if args.len() < 2 {
-        usage();
-    }
-    caps_bench::apply_threads_from_args();
-    let workload = caps_bench::parse_workload(&args[0]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    });
-    let engine = match args[1].to_ascii_lowercase().as_str() {
+    let [bench, engine] = args.positional(2) else {
+        unreachable!("positional(2) returns two arguments")
+    };
+    let workload = caps_bench::parse_workload(bench).unwrap_or_else(|e| args.fail(e));
+    let engine = match engine.to_ascii_lowercase().as_str() {
         "base" | "baseline" => Engine::Baseline,
         "intra" => Engine::Intra,
         "inter" => Engine::Inter,
@@ -385,21 +348,18 @@ fn main() {
         "caps@lrr" => Engine::CapsOnLrr,
         "caps@tlv" => Engine::CapsOnTlv,
         "caps@gto" => Engine::CapsOnPasGto,
-        _ => usage(),
+        other => args.fail(format!("unknown engine {other:?}")),
     };
     let mut spec = RunSpec::paper(workload, engine);
-    if args.iter().any(|a| a == "--small") {
-        spec.scale = Scale::Small;
-    }
-    if args.iter().any(|a| a == "--kepler") {
+    spec.scale = args.scale();
+    if args.flag("--kepler") {
         spec.base_config = GpuConfig::kepler_like();
     }
-    if let Some(i) = args.iter().position(|a| a == "--ctas") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage());
+    if let Some(n) = args.count("--ctas") {
         spec.base_config.max_ctas_per_sm = n;
+        if let Err(why) = spec.base_config.check() {
+            args.fail(format!("--ctas {n}: {why}"));
+        }
     }
     let r = run_one(&spec);
     let s = &r.stats;

@@ -10,13 +10,14 @@
 //!
 //! The sweep mode takes exactly the `farm` flag surface and produces
 //! byte-identical `--out` summaries: it drives the same
-//! `caps_bench::farmcli::run_axes` axis loop, with the process-wide
-//! remote hook routing every batch through the server named by
-//! `--socket` / `GPU_SIM_SOCKET`. Records stream back as the server
-//! completes them (`--verbose` prints each one); the `--stats` report's
-//! hit/sim/dedup counters are the server's, observed over the wire. If
-//! the server is unreachable the farm transparently falls back to local
-//! execution (with a warning), so `simctl` degrades to `farm`.
+//! `caps_bench::cli::run_axes` axis loop, with a
+//! [`Served`](caps_bench::cli::Served) executor sending every batch to
+//! the server named by `--socket` (default `.sim-service.sock`), minus
+//! the jobs its own `--prune-against` archive covers. Records stream
+//! back as the server completes them (`--verbose` prints each one); the
+//! `--stats` report's hit/sim/dedup counters are the server's, observed
+//! over the wire. If the server is unreachable, the batches run on a
+//! local farm instead (with a warning), so `simctl` degrades to `farm`.
 //!
 //! `--push-prune` loads a results archive — a `farm --stats` file, a
 //! `BENCH_farm.json`, or a result-cache directory — and ships its job
@@ -24,35 +25,12 @@
 //! client) skips those points. This is the wire form of the archive
 //! exchange that `farm --prune-against` does locally.
 
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
-use caps_bench::farmcli::{
-    flag_value, parse_jobs, parse_prune, parse_scale, parse_workloads, print_tables, run_axes,
-    stats_json, sweep_summary_json,
-};
-use caps_json::Value;
+use caps_bench::cli::{sweep_and_report, Args, Served};
 use caps_metrics::{CacheMode, Farm, PruneSet, ResultCache};
-use caps_service::{client, Client, SOCKET_ENV};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: simctl [--socket PATH] [--small] [--workloads A,B,..] [--jobs N]\n\
-         \x20             [--out PATH] [--stats PATH] [--prune-against PATH] [--verbose]\n\
-         \x20      simctl --status | --query-stats | --shutdown  [--socket PATH]\n\
-         \x20      simctl --push-prune ARCHIVE                   [--socket PATH]\n\
-         default socket: $GPU_SIM_SOCKET, else .sim-service.sock"
-    );
-    std::process::exit(2);
-}
-
-fn socket_path(args: &[String]) -> PathBuf {
-    PathBuf::from(
-        flag_value(args, "--socket")
-            .or_else(|| std::env::var(SOCKET_ENV).ok().filter(|s| !s.is_empty()))
-            .unwrap_or_else(|| ".sim-service.sock".to_string()),
-    )
-}
+use caps_service::Client;
 
 fn connect(socket: &Path) -> Client {
     Client::connect_retry(socket, Duration::from_secs(2)).unwrap_or_else(|e| {
@@ -62,13 +40,33 @@ fn connect(socket: &Path) -> Client {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    let socket = socket_path(&args);
+    let args = Args::parse(
+        "usage: simctl [--socket PATH] [--small] [--workloads A,B,..] [--jobs N]\n\
+         \x20             [--out PATH] [--stats PATH] [--prune-against PATH] [--verbose]\n\
+         \x20      simctl --status | --query-stats | --shutdown  [--socket PATH]\n\
+         \x20      simctl --push-prune ARCHIVE                   [--socket PATH]\n\
+         default socket: .sim-service.sock",
+        &[
+            "--small",
+            "--verbose",
+            "--status",
+            "--query-stats",
+            "--shutdown",
+        ],
+        &[
+            "--socket",
+            "--workloads",
+            "--jobs",
+            "--out",
+            "--stats",
+            "--prune-against",
+            "--push-prune",
+        ],
+    );
+    args.positional(0);
+    let socket = args.socket();
 
-    if args.iter().any(|a| a == "--status") {
+    if args.flag("--status") {
         let (proto, workers, connections, batches, jobs_done) =
             connect(&socket).status().unwrap_or_else(|e| {
                 eprintln!("simctl: status: {e}");
@@ -81,7 +79,7 @@ fn main() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--query-stats") {
+    if args.flag("--query-stats") {
         let (farm, cache) = connect(&socket).server_stats().unwrap_or_else(|e| {
             eprintln!("simctl: stats: {e}");
             std::process::exit(1);
@@ -95,7 +93,7 @@ fn main() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--shutdown") {
+    if args.flag("--shutdown") {
         connect(&socket).shutdown().unwrap_or_else(|e| {
             eprintln!("simctl: shutdown: {e}");
             std::process::exit(1);
@@ -103,11 +101,9 @@ fn main() {
         println!("server at {} is shutting down", socket.display());
         return;
     }
-    if let Some(archive) = flag_value(&args, "--push-prune") {
-        let set = PruneSet::load(Path::new(&archive)).unwrap_or_else(|e| {
-            eprintln!("--push-prune {archive}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(archive) = args.value("--push-prune") {
+        let set = PruneSet::load(Path::new(archive))
+            .unwrap_or_else(|e| args.fail(format!("--push-prune {archive}: {e}")));
         let total = connect(&socket).push_prune(set.keys()).unwrap_or_else(|e| {
             eprintln!("simctl: push-prune: {e}");
             std::process::exit(1);
@@ -119,55 +115,13 @@ fn main() {
         return;
     }
 
-    // Sweep mode: same axis loop as `farm`, batches routed through the
-    // server. The local cache is Off — memoization lives server-side —
-    // and only matters if the server is down and the farm falls back.
-    let scale = parse_scale(&args);
-    let workloads = parse_workloads(&args);
-    let jobs = parse_jobs(&args);
-    let prune = parse_prune(&args);
-    let verbose = args.iter().any(|a| a == "--verbose");
-
-    let observer = verbose.then(|| {
-        std::sync::Arc::new(|i: usize, rec: &caps_metrics::RunRecord| {
-            eprintln!(
-                "record[{i}]: {} {} ({} cycles)",
-                rec.workload, rec.engine, rec.stats.cycles
-            );
-        }) as std::sync::Arc<client::RecordObserver>
-    });
-    client::install_remote_hook_observed(socket.clone(), observer);
+    // Sweep mode: same axis loop as `farm`, batches sent to the server.
+    // The local cache is Off — memoization lives server-side — and only
+    // matters if the server is down and the batches run locally.
+    let prune = args.prune();
     let cache = ResultCache::new(CacheMode::Off, ".sim-cache-unused");
-    let farm = Farm::new(&cache, jobs);
-
-    let t0 = Instant::now();
-    let (results, stats, job_keys) = run_axes(&farm, &workloads, scale, &prune);
-    let seconds = t0.elapsed().as_secs_f64();
-    print_tables(&results);
-    eprintln!(
-        "{:.3}s  jobs={} sims={} mem={} disk={} dedup={} pruned={}  (server hit rate {:.1}%, socket {})",
-        seconds,
-        stats.jobs,
-        stats.sims,
-        stats.mem_hits,
-        stats.disk_hits,
-        stats.dedup,
-        stats.pruned,
-        stats.hit_rate() * 100.0,
-        socket.display(),
-    );
-
-    if let Some(out) = flag_value(&args, "--out") {
-        std::fs::write(&out, sweep_summary_json(&results))
-            .unwrap_or_else(|e| panic!("write {out}: {e}"));
-        println!("wrote {out}");
-    }
-    if let Some(path) = flag_value(&args, "--stats") {
-        let mut doc = stats_json(&stats, &cache, seconds, &job_keys);
-        if let Value::Obj(fields) = &mut doc {
-            fields.insert(0, ("host".to_string(), caps_bench::host_json(jobs)));
-        }
-        std::fs::write(&path, doc.pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    let fallback = Farm::new(&cache, args.jobs());
+    let mut served = Served::connect(&socket, fallback, args.flag("--verbose"));
+    let source = format!("server {}", socket.display());
+    sweep_and_report(&args, &cache, &source, |jobs| served.run(jobs, &prune));
 }

@@ -6,80 +6,53 @@
 //!      [--max-cache-mb N]
 //! ```
 //!
-//! The socket path defaults to `GPU_SIM_SOCKET`, then `.sim-service.sock`.
-//! All batches from all clients share one persistent result cache
-//! (`--cache-dir`, default `GPU_SIM_CACHE_DIR` / `.sim-cache`), so
-//! clients memoize *each other's* work: the second client to sweep an
-//! already-covered matrix streams pure cache hits. `--max-cache-mb`
-//! (default `GPU_SIM_CACHE_MAX_MB`) bounds the cache directory with
-//! LRU-by-mtime eviction.
+//! The socket path defaults to `.sim-service.sock`. All batches from all
+//! clients share one persistent result cache (`--cache-dir`, default
+//! `GPU_SIM_CACHE_DIR` / `.sim-cache`), so clients memoize *each
+//! other's* work: the second client to sweep an already-covered matrix
+//! streams pure cache hits. `--max-cache-mb` (default
+//! `GPU_SIM_CACHE_MAX_MB`; 0 = unbounded) bounds the cache directory,
+//! evicting the oldest-written entries first.
 
-use std::path::PathBuf;
-
-use caps_bench::farmcli::{flag_value, parse_jobs};
-use caps_metrics::{CacheMode, ResultCache};
-use caps_service::{Server, ServerConfig, SOCKET_ENV};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: simd [--socket PATH] [--jobs N] [--cache-dir PATH] [--cache rw|ro|off]\n\
-         \x20           [--max-cache-mb N]\n\
-         default socket: $GPU_SIM_SOCKET, else .sim-service.sock"
-    );
-    std::process::exit(2);
-}
+use caps_bench::cli::Args;
+use caps_service::{Server, ServerConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    let socket = flag_value(&args, "--socket")
-        .or_else(|| std::env::var(SOCKET_ENV).ok().filter(|s| !s.is_empty()))
-        .unwrap_or_else(|| ".sim-service.sock".to_string());
-    let workers = parse_jobs(&args);
-    let mode = match flag_value(&args, "--cache").as_deref() {
-        None | Some("rw") => CacheMode::ReadWrite,
-        Some("ro") => CacheMode::ReadOnly,
-        Some("off") => CacheMode::Off,
-        Some(other) => {
-            eprintln!("unknown cache mode {other:?} (rw|ro|off)");
-            usage()
-        }
-    };
-    let dir = flag_value(&args, "--cache-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(caps_metrics::cache::default_cache_dir);
-    let max_bytes = match flag_value(&args, "--max-cache-mb") {
-        Some(mb) => match mb.parse::<u64>() {
-            Ok(0) => None,
-            Ok(mb) => Some(mb.saturating_mul(1024 * 1024)),
-            Err(_) => {
-                eprintln!("--max-cache-mb requires an integer (MiB; 0 = unbounded)");
-                usage()
-            }
-        },
-        None => caps_metrics::cache::default_cache_max_bytes(),
-    };
-    let cache = ResultCache::new(mode, &dir).with_max_bytes(max_bytes);
-
-    let server = Server::new(
-        ServerConfig {
-            socket: PathBuf::from(&socket),
-            workers,
-        },
-        cache,
+    let args = Args::parse(
+        "usage: simd [--socket PATH] [--jobs N] [--cache-dir PATH] [--cache rw|ro|off]\n\
+         \x20           [--max-cache-mb N]\n\
+         default socket: .sim-service.sock",
+        &[],
+        &[
+            "--socket",
+            "--jobs",
+            "--cache",
+            "--cache-dir",
+            "--max-cache-mb",
+        ],
     );
+    args.positional(0);
+    let socket = args.socket();
+    let workers = args.jobs();
+    let cache = args.cache();
     eprintln!(
-        "simd: listening on {socket} ({workers} workers, cache {} [{}])",
-        dir.display(),
-        match max_bytes {
+        "simd: listening on {} ({workers} workers, cache {} [{}])",
+        socket.display(),
+        cache.dir().display(),
+        match cache.max_bytes() {
             Some(b) => format!("cap {} MiB", b / (1024 * 1024)),
             None => "unbounded".to_string(),
         }
     );
+    let server = Server::new(
+        ServerConfig {
+            socket: socket.clone(),
+            workers,
+        },
+        cache,
+    );
     if let Err(e) = server.serve() {
-        eprintln!("simd: {socket}: {e}");
+        eprintln!("simd: {}: {e}", socket.display());
         std::process::exit(1);
     }
     eprintln!("simd: shut down cleanly");

@@ -40,7 +40,7 @@ pub fn compute(scale: Scale) -> Vec<Point> {
         .collect()
 }
 
-/// Render the two series.
+/// Render the two series and the cliff verdict.
 pub fn render(points: &[Point]) -> String {
     let mut t = Table::new(&["warp distance", "accuracy", "gap (cycles)"]);
     for p in points {
@@ -50,7 +50,8 @@ pub fn render(points: &[Point]) -> String {
             format!("{:.0}", p.gap_cycles),
         ]);
     }
-    t.render()
+    let cliff = shows_cta_boundary_cliff(points);
+    format!("{}\nCTA-boundary cliff: {cliff}\n", t.render())
 }
 
 /// The headline property: accuracy within the CTA (distance ≤ 2) beats

@@ -67,27 +67,41 @@ pub fn compute_for(workload: Workload) -> Demo {
     }
 }
 
-/// Default demonstration: LPS, the paper's own example.
-pub fn compute() -> Demo {
-    compute_for(Workload::Lps)
+/// The demonstrations: LPS (the paper's own example), MM and BFS.
+pub fn compute() -> Vec<Demo> {
+    [Workload::Lps, Workload::Mm, Workload::Bfs]
+        .into_iter()
+        .map(compute_for)
+        .collect()
 }
 
-/// Render the demonstration.
-pub fn render(d: &Demo) -> String {
-    let mut t = Table::new(&["CTA (arrival)", "base address", "Δ base", "warp stride"]);
-    for i in 0..d.ctas.len() {
-        t.row(vec![
-            format!("{}", d.ctas[i]),
-            format!("{:#x}", d.bases[i]),
-            if i == 0 {
-                "-".to_string()
-            } else {
-                format!("{}", d.base_deltas[i - 1])
-            },
-            format!("{}", d.warp_strides[i]),
-        ]);
-    }
-    format!("{} (first targeted load)\n{}", d.workload, t.render())
+/// Render each demonstration with its §IV verdict.
+pub fn render(demos: &[Demo]) -> String {
+    let blocks: Vec<String> = demos
+        .iter()
+        .map(|d| {
+            let mut t = Table::new(&["CTA (arrival)", "base address", "Δ base", "warp stride"]);
+            for i in 0..d.ctas.len() {
+                t.row(vec![
+                    format!("{}", d.ctas[i]),
+                    format!("{:#x}", d.bases[i]),
+                    if i == 0 {
+                        "-".to_string()
+                    } else {
+                        format!("{}", d.base_deltas[i - 1])
+                    },
+                    format!("{}", d.warp_strides[i]),
+                ]);
+            }
+            format!(
+                "{} (first targeted load)\n{}\nirregular bases + constant warp stride: {}\n",
+                d.workload,
+                t.render(),
+                demonstrates_cap_premise(d)
+            )
+        })
+        .collect();
+    blocks.join("\n")
 }
 
 /// The §IV facts: irregular base deltas, one common warp stride.
@@ -103,9 +117,9 @@ mod tests {
 
     #[test]
     fn lps_demonstrates_the_premise() {
-        let d = compute();
+        let d = compute_for(Workload::Lps);
         assert!(demonstrates_cap_premise(&d), "{d:?}");
-        assert!(render(&d).contains("warp stride"));
+        assert!(render(&[d]).contains("warp stride: true"));
     }
 
     #[test]

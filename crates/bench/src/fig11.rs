@@ -62,7 +62,7 @@ pub fn compute(scale: Scale) -> Figure11 {
     compute_for(&crate::workloads(), scale)
 }
 
-/// Render as the paper's grouped-bar table.
+/// Render as the paper's grouped-bar table, with the CAPS trend verdict.
 pub fn render(fig: &Figure11) -> String {
     let mut header = vec!["CTAs"];
     header.extend(fig.engines.iter());
@@ -72,7 +72,8 @@ pub fn render(fig: &Figure11) -> String {
         cells.extend(fig.series[ci].iter().map(|&x| format!("{x:.3}")));
         t.row(cells);
     }
-    t.render()
+    let trend = caps_improves_with_ctas(fig);
+    format!("{}\nCAPS improves with CTA count: {trend}\n", t.render())
 }
 
 /// `true` when the CAPS column is monotonically non-decreasing in the

@@ -69,12 +69,15 @@ fn render_grid(title: &str, fig: &Figure12, grid: &[Vec<f64>]) -> String {
     format!("{title}\n{}", t.render())
 }
 
-/// Render both panels.
+/// Render both panels and the CAPS means.
 pub fn render(fig: &Figure12) -> String {
+    let (cov, acc) = caps_means(fig);
     format!(
-        "{}\n{}",
+        "{}\n{}\nCAPS means: coverage {:.1}%, accuracy {:.1}%\n",
         render_grid("(a) Coverage", fig, &fig.coverage),
-        render_grid("(b) Accuracy", fig, &fig.accuracy)
+        render_grid("(b) Accuracy", fig, &fig.accuracy),
+        cov * 100.0,
+        acc * 100.0
     )
 }
 

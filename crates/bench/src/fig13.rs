@@ -73,16 +73,17 @@ fn render_grid(title: &str, fig: &Figure13, grid: &[Vec<f64>]) -> String {
     format!("{title}\n{}", t.render())
 }
 
-/// Render both panels.
+/// Render both panels and the CAPS request-traffic overhead.
 pub fn render(fig: &Figure13) -> String {
     format!(
-        "{}\n{}",
+        "{}\n{}\nCAPS request-traffic overhead: {:+.1}%\n",
         render_grid(
             "(a) Fetch requests from cores (normalized)",
             fig,
             &fig.requests
         ),
-        render_grid("(b) Data read from DRAM (normalized)", fig, &fig.dram_reads)
+        render_grid("(b) Data read from DRAM (normalized)", fig, &fig.dram_reads),
+        caps_request_overhead(fig) * 100.0
     )
 }
 

@@ -1,15 +1,20 @@
 //! # caps-bench — figure and table regeneration
 //!
-//! One module per table/figure of the paper's evaluation (§VI). Each
-//! exposes a `compute` function returning structured rows and a `render`
-//! function printing the same series the paper plots. The `src/bin/`
-//! binaries are thin wrappers; `benches/` times the underlying machinery
-//! with Criterion.
+//! One module per table/figure of the paper's evaluation (§VI), plus
+//! the two extension experiments. Each exposes a `compute` function
+//! returning structured rows and a `render` function printing the same
+//! series the paper plots. [`OUTPUTS`] maps every file `run_all` writes
+//! under `results/` to its renderer; [`cli`] is the flag parser and
+//! sweep driver of the five binaries; `benches/` times the underlying
+//! machinery with Criterion.
 
 #![warn(missing_docs)]
 
-pub mod farmcli;
+pub mod cli;
+pub mod ext_kepler;
+pub mod ext_sensitivity;
 pub mod fig01;
+pub mod fig03;
 pub mod fig04;
 pub mod fig05;
 pub mod fig10;
@@ -74,32 +79,71 @@ fn parse_cpuinfo(text: &str) -> (usize, usize, String) {
     (logical, cores.len(), model)
 }
 
-/// Scale selector shared by all figure binaries: `--small` runs the
-/// reduced kernels (useful for smoke tests), default is paper scale.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--small") {
-        Scale::Small
-    } else {
-        Scale::Full
-    }
-}
+/// One file `run_all` writes: the name `run_all --only` selects it by,
+/// its file name under `results/`, and the function that computes and
+/// renders its contents at a kernel scale.
+pub type Output = (&'static str, &'static str, fn(Scale) -> String);
 
-/// Apply a `--threads N` flag (if present) to the shared harness worker
-/// count; without it the harness auto-detects from
-/// `available_parallelism`. Shared by all figure binaries.
-pub fn apply_threads_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires a positive integer");
-                std::process::exit(2);
-            });
-        caps_metrics::set_default_threads(n);
-    }
+/// Every output `run_all` regenerates, in the order it writes them.
+pub const OUTPUTS: &[Output] = &[
+    ("fig01", "fig01_distance.txt", |scale| {
+        fig01::render(&fig01::compute(scale))
+    }),
+    ("fig03", "fig03_distribution.txt", |_| {
+        fig03::render(&fig03::compute())
+    }),
+    ("fig04", "fig04_iterations.txt", |_| {
+        fig04::render(&fig04::compute())
+    }),
+    ("fig05", "fig05_cta_strides.txt", |_| {
+        fig05::render(&fig05::compute())
+    }),
+    ("fig10", "fig10_ipc.txt", |scale| {
+        fig10::render(&fig10::compute(scale))
+    }),
+    ("fig10_records", "fig10_records.json", |scale| {
+        caps_metrics::to_json(&run_grid(&workloads(), &engines_with_baseline(), scale))
+    }),
+    ("fig11", "fig11_cta_sweep.txt", |scale| {
+        fig11::render(&fig11::compute(scale))
+    }),
+    ("fig12", "fig12_coverage_accuracy.txt", |scale| {
+        fig12::render(&fig12::compute(scale))
+    }),
+    ("fig13", "fig13_bandwidth.txt", |scale| {
+        fig13::render(&fig13::compute(scale))
+    }),
+    ("fig14", "fig14_timeliness.txt", |scale| {
+        fig14::render(&fig14::compute(scale))
+    }),
+    ("fig15", "fig15_energy.txt", |scale| {
+        fig15::render(&fig15::compute(scale))
+    }),
+    ("table12", "table12_hardware.txt", |_| {
+        tables::render_tables_1_2()
+    }),
+    ("table34", "table34_config.txt", |_| {
+        tables::render_table_3() + &tables::render_table_4()
+    }),
+    ("ext_kepler", "ext_kepler.txt", |scale| {
+        ext_kepler::render(&ext_kepler::compute(scale))
+    }),
+    ("ext_sensitivity", "ext_sensitivity.txt", |scale| {
+        ext_sensitivity::render(&ext_sensitivity::compute(scale))
+    }),
+];
+
+/// Look up `run_all --only` names (comma-separated). The error names
+/// the offender and lists every valid name.
+pub fn select_outputs(list: &str) -> Result<Vec<&'static Output>, String> {
+    list.split(',')
+        .map(|name| {
+            OUTPUTS.iter().find(|o| o.0 == name.trim()).ok_or_else(|| {
+                let names: Vec<&str> = OUTPUTS.iter().map(|o| o.0).collect();
+                format!("unknown output {name:?}; valid names: {}", names.join(" "))
+            })
+        })
+        .collect()
 }
 
 /// Run `engines × workloads` and return records in row-major
@@ -211,6 +255,18 @@ processor\t: 3\nphysical id\t: 0\ncore id\t: 1\nmodel name\t: Xeon X\n";
         let host = host_json(1);
         assert!(host.get("logical_cpus").unwrap().as_u64().unwrap() >= 1);
         assert!(host.get("physical_cores").unwrap().as_u64().unwrap() >= 1);
+    }
+
+    #[test]
+    fn outputs_have_unique_names_and_files() {
+        for (i, o) in OUTPUTS.iter().enumerate() {
+            assert!(o.1.starts_with(o.0), "{} writes {}", o.0, o.1);
+            assert!(OUTPUTS[..i].iter().all(|p| p.0 != o.0 && p.1 != o.1));
+        }
+        let picked = select_outputs("fig03, table34").unwrap();
+        assert_eq!(picked[1].1, "table34_config.txt");
+        let err = select_outputs("fig03,nosuch").unwrap_err();
+        assert!(err.contains("ext_kepler"), "lists the valid names: {err}");
     }
 
     #[test]

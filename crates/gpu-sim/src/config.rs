@@ -269,38 +269,48 @@ impl GpuConfig {
         partition % self.num_dram_channels
     }
 
-    /// Validates internal consistency; panics with a clear message when a
-    /// hand-edited configuration is impossible.
-    pub fn validate(&self) {
-        assert!(self.num_sms > 0, "need at least one SM");
-        assert!(
+    /// Why this configuration is impossible, if it is: the first broken
+    /// consistency rule, as a message naming it.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let require = |ok: bool, why: &'static str| if ok { Ok(()) } else { Err(why) };
+        require(self.num_sms > 0, "need at least one SM")?;
+        require(
             self.simt_width.is_power_of_two(),
-            "SIMT width must be a power of two"
-        );
-        assert!(
+            "SIMT width must be a power of two",
+        )?;
+        require(self.max_ctas_per_sm > 0, "need at least one CTA per SM")?;
+        require(
             self.max_warps_per_sm >= self.max_ctas_per_sm,
-            "cannot host more CTAs than warps"
-        );
-        assert!(
+            "cannot host more CTAs than warps",
+        )?;
+        require(
             self.l1d.line_size == self.l2.line_size,
-            "L1/L2 line sizes must match"
-        );
-        assert!(
+            "L1/L2 line sizes must match",
+        )?;
+        require(
             self.l1d.sets().is_power_of_two(),
-            "L1 set count must be a power of two"
-        );
-        assert!(
+            "L1 set count must be a power of two",
+        )?;
+        require(
             self.l2.sets().is_power_of_two(),
-            "L2 set count must be a power of two"
-        );
-        assert!(
+            "L2 set count must be a power of two",
+        )?;
+        require(
             self.num_partitions >= self.num_dram_channels,
-            "partitions map onto channels"
-        );
-        assert!(
+            "partitions map onto channels",
+        )?;
+        require(
             self.ready_queue_size > 0,
-            "two-level ready queue cannot be empty"
-        );
+            "two-level ready queue cannot be empty",
+        )
+    }
+
+    /// Validates internal consistency; panics with a clear message when a
+    /// hand-edited configuration is impossible (see [`Self::check`]).
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 
@@ -470,6 +480,16 @@ mod tests {
         let mut c = GpuConfig::fermi_gtx480();
         c.max_ctas_per_sm = 100;
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        let mut c = GpuConfig::fermi_gtx480();
+        assert_eq!(c.check(), Ok(()));
+        c.max_ctas_per_sm = 0;
+        assert_eq!(c.check(), Err("need at least one CTA per SM"));
+        c.max_ctas_per_sm = c.max_warps_per_sm + 1;
+        assert_eq!(c.check(), Err("cannot host more CTAs than warps"));
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! it is next visited or when statistics are collected. When nothing is
 //! due, the clock jumps straight to the earliest wake cycle.
 //!
-//! Naive stepping (`fast_forward` off, or the `GPU_SIM_NO_SKIP`
-//! environment variable) visits every component every cycle; it is the
-//! reference the differential suites compare against.
+//! Naive stepping (`fast_forward` off, see [`Gpu::set_fast_forward`])
+//! visits every component every cycle; it is the reference the
+//! differential suites compare against.
 
 use crate::config::GpuConfig;
 use crate::cta_scheduler::CtaDistributor;
@@ -175,8 +175,7 @@ pub struct Gpu {
     completed: Vec<CtaCoord>,
     /// Wake-driven stepping and clock jumps; when `false`, every
     /// component steps every cycle. Statistics are bit-identical either
-    /// way; disabled by the `GPU_SIM_NO_SKIP` environment variable (or
-    /// [`Self::set_fast_forward`]).
+    /// way; set by [`Self::set_fast_forward`].
     fast_forward: bool,
     /// Cycles covered by clock jumps (host diagnostics, not `Stats`).
     skipped_cycles: u64,
@@ -257,7 +256,7 @@ impl Gpu {
             cycle: 0,
             dram_done: Vec::new(),
             completed: Vec::new(),
-            fast_forward: std::env::var_os("GPU_SIM_NO_SKIP").is_none(),
+            fast_forward: true,
             skipped_cycles: 0,
             skip_events: 0,
             sm_wake: Wakes::new(num_sms),
@@ -273,9 +272,8 @@ impl Gpu {
         (self.skipped_cycles, self.skip_events)
     }
 
-    /// Enable or disable wake-driven stepping in-process (tests use this
-    /// to compare against naive stepping without touching the
-    /// environment).
+    /// Enable (the default) or disable wake-driven stepping; the
+    /// differential suites turn it off to get the naive reference.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
         self.wake_all();

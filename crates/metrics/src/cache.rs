@@ -214,7 +214,8 @@ impl ResultCache {
     }
 
     /// Set (or clear) the on-disk size budget in bytes. Exceeding it
-    /// triggers LRU-by-mtime eviction (see [`ResultCache::gc`]).
+    /// evicts the oldest-written entries first (see
+    /// [`ResultCache::gc`]); a hit never touches an entry's mtime.
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
         self.max_bytes = max_bytes;
         self

@@ -25,48 +25,17 @@
 //!
 //! [`run_matrix`](crate::harness::run_matrix) and
 //! [`sweep`](crate::sweep::sweep) are thin clients of this module, so
-//! every figure binary and the bench harness inherit caching and dedup
+//! every figure renderer and the bench harness inherit caching and dedup
 //! without code changes.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc;
 
 use crate::cache::{job_digest, CacheTier, ResultCache};
 use crate::harness::{run_one_with_opts, RunOpts, RunRecord, RunSpec};
-
-/// A remote batch executor: given the (unpruned) jobs of a batch and a
-/// streaming callback, either executes them elsewhere — returning
-/// index-aligned records (slots the remote itself pruned come back
-/// `None`) plus that batch's [`FarmStats`] — or returns `None` to
-/// decline, in which case the farm falls back to local execution.
-///
-/// `caps-service` installs one of these to route every farm client
-/// (`run_matrix`, `sweep`, the figure binaries) through a running
-/// simulation server when `GPU_SIM_SOCKET` is set; the farm itself
-/// knows nothing about sockets.
-pub type RemoteHook =
-    dyn Fn(&[FarmJob], &mut dyn FnMut(usize, &RunRecord)) -> RemoteBatch + Send + Sync;
-
-/// What a [`RemoteHook`] returns: `None` declines the batch (the farm
-/// runs it locally), `Some` carries the remote's index-aligned records
-/// and statistics.
-pub type RemoteBatch = Option<(Vec<Option<RunRecord>>, FarmStats)>;
-
-static REMOTE: Mutex<Option<Arc<RemoteHook>>> = Mutex::new(None);
-
-/// Install (`Some`) or remove (`None`) the process-wide remote batch
-/// executor consulted by every remote-eligible [`Farm`]. Returns the
-/// previously installed hook so scoped users (tests) can restore it.
-pub fn set_remote_hook(hook: Option<Arc<RemoteHook>>) -> Option<Arc<RemoteHook>> {
-    std::mem::replace(&mut *REMOTE.lock().unwrap(), hook)
-}
-
-fn remote_hook() -> Option<Arc<RemoteHook>> {
-    REMOTE.lock().unwrap().clone()
-}
 
 /// A set of job content keys that have already been computed elsewhere
 /// — a previous sweep's result archive, another machine's cache
@@ -105,11 +74,6 @@ impl PruneSet {
     /// the simulation service's `prune` request carries over the wire.
     pub fn keys(&self) -> impl Iterator<Item = u128> + '_ {
         self.keys.iter().copied()
-    }
-
-    /// Merge every key of `other` into this set.
-    pub fn extend_from(&mut self, other: &PruneSet) {
-        self.keys.extend(other.keys());
     }
 
     /// True when the set prunes nothing.
@@ -232,37 +196,30 @@ impl FarmStats {
     }
 }
 
+impl std::ops::AddAssign for FarmStats {
+    /// Accumulate another batch's counters (a sweep's axes, a server's
+    /// lifetime total).
+    fn add_assign(&mut self, other: FarmStats) {
+        self.jobs += other.jobs;
+        self.sims += other.sims;
+        self.mem_hits += other.mem_hits;
+        self.disk_hits += other.disk_hits;
+        self.dedup += other.dedup;
+        self.pruned += other.pruned;
+    }
+}
+
 /// A run service bound to a result cache and a worker count.
 pub struct Farm<'c> {
     cache: &'c ResultCache,
     threads: usize,
-    /// Whether this farm consults the process-wide [`RemoteHook`].
-    /// The simulation server runs [`Farm::local`] farms: a server whose
-    /// own environment pointed back at a socket must never re-submit a
-    /// batch to itself.
-    remote: bool,
 }
 
 impl<'c> Farm<'c> {
     /// A farm over an explicit cache. `threads` is clamped to
-    /// `[1, unique batch size]` per call. Batches route through the
-    /// installed [`RemoteHook`], if any.
+    /// `[1, unique batch size]` per call.
     pub fn new(cache: &'c ResultCache, threads: usize) -> Self {
-        Farm {
-            cache,
-            threads,
-            remote: true,
-        }
-    }
-
-    /// A farm that always executes locally, ignoring any installed
-    /// [`RemoteHook`] — the simulation server's own execution engine.
-    pub fn local(cache: &'c ResultCache, threads: usize) -> Self {
-        Farm {
-            cache,
-            threads,
-            remote: false,
-        }
+        Farm { cache, threads }
     }
 
     /// A farm over the process-wide environment-configured cache.
@@ -333,13 +290,6 @@ impl<'c> Farm<'c> {
     ) -> (Vec<Option<RunRecord>>, FarmStats) {
         if jobs.is_empty() {
             return (Vec::new(), FarmStats::default());
-        }
-        if self.remote {
-            if let Some(hook) = remote_hook() {
-                if let Some(out) = self.run_remote(&*hook, jobs, prune, &mut on_result) {
-                    return out;
-                }
-            }
         }
         // Submission dedup: only the first job with a given content key
         // executes; later identical jobs attach to it as waiters. Keys
@@ -437,53 +387,6 @@ impl<'c> Farm<'c> {
             pruned,
         };
         (results, stats)
-    }
-
-    /// Delegate one batch to the installed [`RemoteHook`]. Locally
-    /// pruned jobs are filtered before the wire (the remote applies its
-    /// *own* prune set on top); streamed callbacks are remapped to the
-    /// caller's indices. Returns `None` when the hook declines, in
-    /// which case the caller falls back to local execution.
-    fn run_remote(
-        &self,
-        hook: &RemoteHook,
-        jobs: &[FarmJob],
-        prune: &PruneSet,
-        on_result: &mut dyn FnMut(usize, &RunRecord),
-    ) -> Option<(Vec<Option<RunRecord>>, FarmStats)> {
-        let mut sent = Vec::new();
-        let mut sent_index = Vec::new();
-        let mut pruned = 0u64;
-        for (i, job) in jobs.iter().enumerate() {
-            if prune.contains(job.digest()) {
-                pruned += 1;
-            } else {
-                sent.push(job.clone());
-                sent_index.push(i);
-            }
-        }
-        let mut results: Vec<Option<RunRecord>> = jobs.iter().map(|_| None).collect();
-        if sent.is_empty() {
-            let stats = FarmStats {
-                jobs: jobs.len() as u64,
-                pruned,
-                ..FarmStats::default()
-            };
-            return Some((results, stats));
-        }
-        let (remote_records, mut stats) =
-            hook(&sent, &mut |si, rec| on_result(sent_index[si], rec))?;
-        assert_eq!(
-            remote_records.len(),
-            sent.len(),
-            "remote batch must return one slot per submitted job"
-        );
-        for (si, rec) in remote_records.into_iter().enumerate() {
-            results[sent_index[si]] = rec;
-        }
-        stats.jobs = jobs.len() as u64;
-        stats.pruned += pruned;
-        Some((results, stats))
     }
 }
 
@@ -627,47 +530,6 @@ mod tests {
         assert!(set.contains(key_a) && set.contains(key_b));
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn declining_remote_hook_falls_back_to_local_and_local_farms_skip_it() {
-        // The hook declines every batch, so concurrently running tests
-        // (which share the process-wide hook slot) still execute
-        // locally and correctly. It counts only batches carrying this
-        // test's sentinel cycle ceiling, so parallel tests don't
-        // perturb the counter.
-        const SENTINEL: u64 = 999_983;
-        let asked = Arc::new(AtomicU64::new(0));
-        let hook_asked = asked.clone();
-        let prev = set_remote_hook(Some(Arc::new(
-            move |jobs: &[FarmJob], _cb: &mut dyn FnMut(usize, &RunRecord)| {
-                if jobs.iter().any(|j| j.opts.max_cycles == Some(SENTINEL)) {
-                    hook_asked.fetch_add(1, Ordering::SeqCst);
-                }
-                None
-            },
-        )));
-        let cache = off_cache();
-        let job = FarmJob::with_opts(
-            RunSpec::small(Workload::Jc1, Engine::Baseline),
-            RunOpts {
-                max_cycles: Some(SENTINEL),
-                ..RunOpts::default()
-            },
-        );
-
-        let (recs, stats) = Farm::new(&cache, 2).run(std::slice::from_ref(&job));
-        assert_eq!(recs.len(), 1);
-        assert_eq!(stats.sims, 1, "declined batch ran locally");
-        assert_eq!(asked.load(Ordering::SeqCst), 1, "remote-eligible farm consulted the hook");
-
-        // A local farm (the server's own engine) never consults it.
-        let (recs, stats) = Farm::local(&cache, 2).run(std::slice::from_ref(&job));
-        assert_eq!(recs.len(), 1);
-        assert_eq!(stats.sims, 1);
-        assert_eq!(asked.load(Ordering::SeqCst), 1, "local farm bypassed the hook");
-
-        set_remote_hook(prev);
     }
 
     #[test]

@@ -141,11 +141,12 @@ impl RunRecord {
 }
 
 /// Per-run overrides for [`run_one_with_opts`]; `None`/default leaves
-/// the environment-derived behavior untouched.
+/// the simulator's defaults untouched.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Wake-driven stepping on/off (overrides `GPU_SIM_NO_SKIP`); both
-    /// settings produce identical records.
+    /// Wake-driven stepping on/off (default on); both settings produce
+    /// identical records, and naive stepping is the reference the
+    /// differential suites compare against.
     pub fast_forward: Option<bool>,
     /// Cycle ceiling override (default [`caps_gpu_sim::gpu::DEFAULT_MAX_CYCLES`]);
     /// the differential suite uses it to bound full-scale runs.
@@ -157,10 +158,9 @@ pub fn run_one(spec: &RunSpec) -> RunRecord {
     run_one_with_opts(spec, &RunOpts::default())
 }
 
-/// Execute one spec with wake-driven stepping explicitly on or off,
-/// overriding the `GPU_SIM_NO_SKIP` environment default. Both settings
-/// produce bit-identical records; differential tests and the throughput
-/// benchmark compare the two.
+/// Execute one spec with wake-driven stepping explicitly on or off.
+/// Both settings produce bit-identical records; differential tests and
+/// the throughput benchmark compare the two.
 pub fn run_one_with_fast_forward(spec: &RunSpec, fast_forward: bool) -> RunRecord {
     run_one_with_opts(
         spec,
@@ -222,8 +222,8 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the worker count used by [`run_matrix`] (and everything built on
 /// it — the figure modules, the sweep driver). `0` restores the default
-/// auto-detection from `available_parallelism`. Binaries expose this as
-/// a `--threads N` flag.
+/// auto-detection from `available_parallelism`. `run_all` exposes this
+/// as its `--jobs N` flag.
 pub fn set_default_threads(threads: usize) {
     DEFAULT_THREADS.store(threads, Ordering::Relaxed);
 }

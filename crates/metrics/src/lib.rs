@@ -34,13 +34,11 @@ pub use export::{
     record_from_value, record_to_value, save, spec_from_value, spec_to_value, to_json,
     workload_from_abbr,
 };
-pub use farm::{set_remote_hook, Farm, FarmJob, FarmStats, PruneSet, RemoteBatch, RemoteHook};
+pub use farm::{Farm, FarmJob, FarmStats, PruneSet};
 pub use caps_gpu_sim::tenant::Partitioning;
 pub use harness::{
     run_matrix, run_matrix_with_threads, run_one, run_one_with_fast_forward, run_one_with_opts,
     set_default_threads, RunOpts, RunRecord, RunSpec, Tenancy,
 };
 pub use report::{f3, geomean, mean, pct, Table};
-pub use sweep::{
-    standard_axes, sweep, sweep_jobs, sweep_on, sweep_pruned, SweepPoint, SweepResult,
-};
+pub use sweep::{standard_axes, sweep, sweep_jobs, sweep_result, SweepPoint, SweepResult};

@@ -10,8 +10,8 @@ use caps_gpu_sim::config::GpuConfig;
 use caps_workloads::{Scale, Workload};
 
 use crate::engine::Engine;
-use crate::farm::{Farm, FarmJob, FarmStats, PruneSet};
-use crate::harness::{default_threads, RunSpec};
+use crate::farm::{Farm, FarmJob, PruneSet};
+use crate::harness::{default_threads, RunRecord, RunSpec};
 use crate::report::mean;
 
 /// One swept parameter point: label plus the config it produces.
@@ -37,89 +37,53 @@ pub struct SweepResult {
 
 /// Run `engine` and the baseline at every point, over `workloads`, on
 /// the process-wide farm (environment-configured cache, default worker
-/// count).
+/// count). Duplicate sweep points — overlapping axes that both contain
+/// the base configuration, or caller-supplied repeats — collapse to one
+/// simulation each via the farm's content-keyed submission dedup.
 pub fn sweep(
     axis: &str,
-    points: Vec<SweepPoint>,
+    points: &[SweepPoint],
     workloads: &[Workload],
     engine: Engine,
     scale: Scale,
 ) -> SweepResult {
-    sweep_on(&Farm::global(default_threads()), axis, points, workloads, engine, scale).0
+    let jobs = sweep_jobs(points, workloads, engine, scale);
+    let (recs, _) = Farm::global(default_threads()).run_pruned(&jobs, &PruneSet::new());
+    sweep_result(axis, points, &recs)
 }
 
-/// [`sweep`] on an explicit farm, also returning the batch statistics
-/// (simulations run, cache hits, points deduplicated). Duplicate sweep
-/// points — overlapping axes that both contain the base configuration,
-/// or caller-supplied repeats — collapse to one simulation each via the
-/// farm's content-keyed submission dedup.
-pub fn sweep_on(
-    farm: &Farm,
-    axis: &str,
-    points: Vec<SweepPoint>,
-    workloads: &[Workload],
-    engine: Engine,
-    scale: Scale,
-) -> (SweepResult, FarmStats) {
-    sweep_pruned(farm, axis, points, workloads, engine, scale, &PruneSet::new())
-}
-
-/// [`sweep_on`] against a [`PruneSet`] archive: any `(point, workload,
-/// engine)` job whose content key appears in the archive is skipped
-/// entirely. A point with *any* pruned job gets a `NaN` speedup and a
-/// `"(pruned)"`-suffixed label — callers distinguish "measured here"
-/// from "already covered elsewhere" without re-simulating the latter.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_pruned(
-    farm: &Farm,
-    axis: &str,
-    points: Vec<SweepPoint>,
-    workloads: &[Workload],
-    engine: Engine,
-    scale: Scale,
-    prune: &PruneSet,
-) -> (SweepResult, FarmStats) {
-    let jobs = sweep_jobs(&points, workloads, engine, scale);
-    let (recs, stats) = farm.run_pruned(&jobs, prune);
-    let per_point = workloads.len() * 2;
+/// Fold a sweep's records into per-point mean speedups. `recs` is
+/// index-aligned with [`sweep_jobs`]`(points, ..)`, from whichever
+/// executor ran the batch; `None` marks a job skipped by a
+/// [`PruneSet`]. A point with *any* pruned job gets a `NaN` speedup and a
+/// `"(pruned)"`-suffixed label, so callers tell "measured here" from
+/// "already covered elsewhere" without re-simulating the latter.
+pub fn sweep_result(axis: &str, points: &[SweepPoint], recs: &[Option<RunRecord>]) -> SweepResult {
+    let per_point = (recs.len() / points.len().max(1)).max(1);
+    let mut labels = Vec::new();
     let mut speedup = Vec::new();
-    let mut pruned_points = Vec::new();
-    for (pi, _) in points.iter().enumerate() {
-        let vals: Option<Vec<f64>> = (0..workloads.len())
-            .map(|wi| {
-                let base = recs[pi * per_point + wi * 2].as_ref()?.ipc();
-                let eng = recs[pi * per_point + wi * 2 + 1].as_ref()?.ipc();
-                Some(eng / base)
-            })
+    for (p, recs) in points.iter().zip(recs.chunks(per_point)) {
+        // Each (baseline, engine) pair of one workload.
+        let vals: Option<Vec<f64>> = recs
+            .chunks(2)
+            .map(|pair| Some(pair[1].as_ref()?.ipc() / pair[0].as_ref()?.ipc()))
             .collect();
         match vals {
             Some(vals) => {
+                labels.push(p.label.clone());
                 speedup.push(mean(&vals));
-                pruned_points.push(false);
             }
             None => {
+                labels.push(format!("{} (pruned)", p.label));
                 speedup.push(f64::NAN);
-                pruned_points.push(true);
             }
         }
     }
-    let labels = points
-        .into_iter()
-        .zip(&pruned_points)
-        .map(|(p, &was_pruned)| {
-            if was_pruned {
-                format!("{} (pruned)", p.label)
-            } else {
-                p.label
-            }
-        })
-        .collect();
-    let result = SweepResult {
+    SweepResult {
         axis: axis.to_string(),
         labels,
         speedup,
-    };
-    (result, stats)
+    }
 }
 
 /// The farm jobs a sweep submits, in submission order: `points ×
@@ -218,7 +182,7 @@ mod tests {
             assert!(points.len() >= 3);
         }
         let (axis, points) = axes.into_iter().next().expect("non-empty");
-        let r = sweep(&axis, points, &[Workload::Scn], Engine::Caps, Scale::Small);
+        let r = sweep(&axis, &points, &[Workload::Scn], Engine::Caps, Scale::Small);
         assert_eq!(r.labels.len(), 4);
         assert_eq!(r.speedup.len(), 4);
         assert!(
@@ -243,14 +207,9 @@ mod tests {
             SweepPoint { label: "base-again".into(), config: base() },
             SweepPoint { label: "64KB".into(), config: big },
         ];
-        let (r, stats) = sweep_on(
-            &farm,
-            "dup-axis",
-            points,
-            &[Workload::Scn],
-            Engine::Caps,
-            Scale::Small,
-        );
+        let jobs = sweep_jobs(&points, &[Workload::Scn], Engine::Caps, Scale::Small);
+        let (recs, stats) = farm.run_pruned(&jobs, &PruneSet::new());
+        let r = sweep_result("dup-axis", &points, &recs);
         // 3 points × 1 workload × 2 engines = 6 jobs, but the repeated
         // point's pair dedups: only 4 simulations, deterministically.
         assert_eq!(stats.jobs, 6);
@@ -263,7 +222,6 @@ mod tests {
     #[test]
     fn pruned_sweep_marks_covered_points() {
         use crate::cache::{CacheMode, ResultCache};
-        use crate::farm::FarmJob;
         let cache = ResultCache::new(CacheMode::Off, std::env::temp_dir().join("caps-sweep-unused"));
         let farm = Farm::new(&cache, 2);
         let base = GpuConfig::fermi_gtx480;
@@ -280,15 +238,9 @@ mod tests {
         covered.scale = Scale::Small;
         covered.base_config = base();
         prune.insert(FarmJob::new(covered).digest());
-        let (r, stats) = sweep_pruned(
-            &farm,
-            "axis",
-            points,
-            &[Workload::Scn],
-            Engine::Caps,
-            Scale::Small,
-            &prune,
-        );
+        let jobs = sweep_jobs(&points, &[Workload::Scn], Engine::Caps, Scale::Small);
+        let (recs, stats) = farm.run_pruned(&jobs, &prune);
+        let r = sweep_result("axis", &points, &recs);
         assert_eq!(stats.pruned, 1);
         assert_eq!(r.labels[0], "base (pruned)");
         assert!(r.speedup[0].is_nan());

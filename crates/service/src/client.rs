@@ -1,17 +1,13 @@
-//! Client side: a blocking connection wrapper plus the process-wide
-//! remote-executor hook that routes farm batches through a server.
+//! Client side: a blocking connection wrapper.
 
 use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use caps_metrics::{set_remote_hook, CacheCounters, FarmJob, FarmStats, RunRecord};
+use caps_metrics::{CacheCounters, FarmJob, FarmStats, RunRecord};
 
 use crate::proto::{LineReader, Request, Response};
-use crate::SOCKET_ENV;
 
 /// A blocking client connection to a simulation server.
 pub struct Client {
@@ -161,79 +157,5 @@ impl Client {
                 }
             }
         }
-    }
-}
-
-/// A live tap on records as they arrive off the wire (display only —
-/// it may see records from a batch that subsequently fails and re-runs
-/// locally, so it must not be used for result collection).
-pub type RecordObserver = dyn Fn(usize, &RunRecord) + Send + Sync;
-
-/// Route every remote-eligible [`Farm`](caps_metrics::Farm) batch in
-/// this process through the server at `socket`: one connection per
-/// batch, records streamed straight into the farm's own callback. If
-/// the server is unreachable (or fails mid-batch) the hook declines and
-/// the farm runs the batch locally — a warning is printed once per
-/// process.
-pub fn install_remote_hook(socket: PathBuf) {
-    install_remote_hook_observed(socket, None)
-}
-
-/// [`install_remote_hook`] with a live [`RecordObserver`] that fires
-/// for every record the moment its line arrives (completion order),
-/// ahead of the farm's own buffered callbacks.
-pub fn install_remote_hook_observed(socket: PathBuf, observer: Option<Arc<RecordObserver>>) {
-    let warned = Arc::new(AtomicBool::new(false));
-    set_remote_hook(Some(Arc::new(move |jobs: &[FarmJob], cb: &mut dyn FnMut(usize, &RunRecord)| {
-        // Buffer streamed records until the batch commits: if the
-        // connection dies mid-stream the farm re-runs the batch
-        // locally, and the local pass must be the *only* source of
-        // callbacks — otherwise completions would double-fire.
-        let mut streamed: Vec<(usize, RunRecord)> = Vec::new();
-        let attempt = Client::connect(&socket).and_then(|mut c| {
-            c.submit_streaming(jobs, &mut |i, r| {
-                if let Some(obs) = &observer {
-                    obs(i, r);
-                }
-                streamed.push((i, r.clone()));
-            })
-        });
-        match attempt {
-            Ok(out) => {
-                for (i, r) in &streamed {
-                    cb(*i, r);
-                }
-                Some(out)
-            }
-            Err(e) => {
-                if !warned.swap(true, Ordering::SeqCst) {
-                    eprintln!(
-                        "caps-service: {}: {e}; falling back to local execution",
-                        socket.display()
-                    );
-                }
-                None
-            }
-        }
-    })));
-}
-
-/// Remove any installed remote hook (batches run locally again).
-pub fn clear_remote_hook() {
-    set_remote_hook(None);
-}
-
-/// Install the remote hook from `GPU_SIM_SOCKET`, if set and non-empty.
-/// Returns whether a hook was installed. Call once at process start;
-/// after this, [`run_matrix`](caps_metrics::run_matrix) and
-/// [`sweep`](caps_metrics::sweep) transparently route through the
-/// server (with local fallback when it is down).
-pub fn init_from_env() -> bool {
-    match std::env::var(SOCKET_ENV) {
-        Ok(path) if !path.is_empty() => {
-            install_remote_hook(PathBuf::from(path));
-            true
-        }
-        _ => false,
     }
 }

@@ -19,14 +19,11 @@
 //!   loop, graceful shutdown on SIGINT/SIGTERM or a `shutdown` request.
 //!   A malformed request earns an `error` reply on that connection and
 //!   never affects the server or other clients;
-//! * [`client`] — [`Client`]: a blocking connection wrapper, plus
-//!   [`client::install_remote_hook`] /
-//!   [`client::init_from_env`], which route every remote-eligible
-//!   [`Farm`](caps_metrics::Farm) batch in this process — and therefore
-//!   [`run_matrix`](caps_metrics::run_matrix) and
-//!   [`sweep`](caps_metrics::sweep) — through the server named by
-//!   `GPU_SIM_SOCKET`. A server that is down (or an unset variable)
-//!   falls back to local execution transparently.
+//! * [`client`] — [`Client`]: a blocking connection wrapper. A caller
+//!   that wants batches served remotely submits them through a
+//!   `Client` explicitly (`simctl` does, falling back to a local farm
+//!   when the server is down); nothing in a process is rerouted behind
+//!   its back.
 //!
 //! Memoization semantics are exactly the farm's: results are keyed by
 //! [`job_digest`](caps_metrics::job_digest) (build-fingerprint salted),
@@ -44,9 +41,3 @@ mod signal;
 pub use client::Client;
 pub use proto::{LineReader, Request, Response, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig};
-
-/// The environment variable naming the server socket. Set for a client
-/// process (see [`client::init_from_env`]), it reroutes every
-/// remote-eligible farm batch through that server; read by `simd` as
-/// the default bind path.
-pub const SOCKET_ENV: &str = "GPU_SIM_SOCKET";

@@ -2,7 +2,7 @@
 //! shared scheduling state, graceful shutdown.
 //!
 //! One process-wide [`ResultCache`] backs every connection; each
-//! `submit` batch runs on its own [`Farm::local`] (farm worker threads
+//! `submit` batch runs on its own [`Farm`] (farm worker threads
 //! are cheap — simulation time dominates), so concurrent clients
 //! multiplex onto one machine and one memoization store. Identical jobs
 //! *within* a batch dedup; identical jobs racing across *concurrent*
@@ -292,7 +292,7 @@ impl Server {
             }
         }
         let prune = lock(&self.prune).clone();
-        let farm = Farm::local(&self.cache, self.cfg.workers);
+        let farm = Farm::new(&self.cache, self.cfg.workers);
         // A client that hangs up mid-stream must not abort the batch:
         // the remaining results still land in the cache. Remember the
         // first write error, stop writing, finish simulating.
@@ -312,15 +312,7 @@ impl Server {
         });
         self.jobs_done
             .fetch_add(results.iter().flatten().count() as u64, Ordering::SeqCst);
-        {
-            let mut total = lock(&self.total);
-            total.jobs += stats.jobs;
-            total.sims += stats.sims;
-            total.mem_hits += stats.mem_hits;
-            total.disk_hits += stats.disk_hits;
-            total.dedup += stats.dedup;
-            total.pruned += stats.pruned;
-        }
+        *lock(&self.total) += stats;
         if let Some(e) = write_err {
             return Err(e);
         }

@@ -11,9 +11,7 @@
 //! * the `prune` request carries the `PruneSet`/`job_keys` archive
 //!   format from a farm-binary-style stats file into the server;
 //! * `shutdown`, by request or by [`Server::request_shutdown`], ends a
-//!   `serve` blocked in `accept` promptly, drains and unlinks the socket;
-//! * the remote hook routes a `Farm::new` batch through the server and
-//!   produces records byte-identical to a purely local farm.
+//!   `serve` blocked in `accept` promptly, drains and unlinks the socket.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -24,7 +22,7 @@ use std::time::Duration;
 use caps_metrics::{
     record_to_value, CacheMode, Engine, Farm, FarmJob, ResultCache, RunOpts, RunSpec,
 };
-use caps_service::{client, Client, LineReader, Response, Server, ServerConfig, PROTOCOL_VERSION};
+use caps_service::{Client, LineReader, Response, Server, ServerConfig, PROTOCOL_VERSION};
 use caps_workloads::Workload;
 
 /// Unique short socket/cache paths per test (sun_path is ~108 bytes).
@@ -167,7 +165,7 @@ fn concurrent_clients_get_bit_identical_records_and_cached_equals_fresh() {
     // The ground truth: a purely local farm over its own cache.
     let local_dir = cache_dir.with_file_name("local-cache");
     let local_cache = ResultCache::new(CacheMode::ReadWrite, &local_dir);
-    let (local_records, _) = Farm::local(&local_cache, 2).run_pruned(&jobs, &Default::default());
+    let (local_records, _) = Farm::new(&local_cache, 2).run_pruned(&jobs, &Default::default());
     let local_bytes = record_bytes(&local_records);
 
     // Two clients submit the same batch concurrently.
@@ -229,41 +227,6 @@ fn prune_request_carries_archive_keys_and_skips_covered_jobs() {
     assert!(records[1].is_some(), "uncovered job still runs");
     assert_eq!(stats.pruned, 1);
     assert_eq!(streamed, vec![1], "only the uncovered job streams");
-}
-
-#[test]
-fn remote_hook_routes_farm_batches_and_shutdown_drains() {
-    let (sock, cache_dir) = scratch("hook");
-    let server = start_server(&sock, &cache_dir, 2);
-    let jobs = tiny_jobs();
-
-    // Ground truth first (hook not installed yet).
-    let local_dir = cache_dir.with_file_name("local-cache");
-    let local_cache = ResultCache::new(CacheMode::ReadWrite, &local_dir);
-    let (local_records, _) = Farm::local(&local_cache, 2).run_pruned(&jobs, &Default::default());
-
-    // Route a remote-eligible farm through the server. Its local cache
-    // is Off: any record it produces must have come over the socket.
-    client::install_remote_hook(sock.clone());
-    let off = ResultCache::new(CacheMode::Off, cache_dir.with_file_name("unused"));
-    let mut streamed = 0usize;
-    let (remote_records, stats) =
-        Farm::new(&off, 2).run_streaming(&jobs, |_, _| streamed += 1);
-    client::clear_remote_hook();
-
-    assert_eq!(streamed, jobs.len(), "farm callbacks fire for remote records");
-    assert_eq!(stats.jobs, jobs.len() as u64);
-    let remote_bytes: Vec<String> = remote_records
-        .iter()
-        .map(|r| record_to_value(r).compact())
-        .collect();
-    assert_eq!(remote_bytes, record_bytes(&local_records));
-
-    // Graceful shutdown: Bye reply, thread joins, socket unlinked.
-    server.connect().shutdown().expect("shutdown");
-    let mut server = server;
-    server.thread.take().unwrap().join().expect("server thread");
-    assert!(!sock.exists(), "socket file removed on shutdown");
 }
 
 /// Wait for `serve()` to return, failing if it takes longer than

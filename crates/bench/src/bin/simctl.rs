@@ -10,19 +10,19 @@
 //!
 //! The sweep mode takes exactly the `farm` flag surface and produces
 //! byte-identical `--out` summaries: it drives the same
-//! `caps_bench::cli::run_axes` axis loop, with a
-//! [`Served`](caps_bench::cli::Served) executor sending every batch to
-//! the server named by `--socket` (default `.sim-service.sock`), minus
-//! the jobs its own `--prune-against` archive covers. Records stream
+//! `caps_bench::cli::run_axes` axis loop, with a [`Served`] executor
+//! sending every batch to the server named by `--socket` (default
+//! `.sim-service.sock`), minus the jobs its own `--prune-against`
+//! archive covers. Records stream
 //! back as the server completes them (`--verbose` prints each one); the
 //! `--stats` report's hit/sim/dedup counters are the server's, observed
 //! over the wire. If the server is unreachable, the batches run on a
 //! local farm instead (with a warning), so `simctl` degrades to `farm`.
 //!
-//! `--push-prune` loads a results archive — a `farm --stats` file, a
-//! `BENCH_farm.json`, or a result-cache directory — and ships its job
-//! keys into the *server-side* prune set: every future submit (from any
-//! client) skips those points. This is the wire form of the archive
+//! `--push-prune` loads a results archive — a `farm --stats` file or a
+//! result-cache directory — and ships its job keys into the
+//! *server-side* prune set: every future submit (from any client) skips
+//! those points. This is the wire form of the archive
 //! exchange that `farm --prune-against` does locally.
 
 use std::path::Path;

@@ -242,7 +242,7 @@ pub fn sweep_and_report(
 }
 
 /// One line of a sweep's wall time and batch counters.
-pub fn counters(seconds: f64, s: &FarmStats) -> String {
+fn counters(seconds: f64, s: &FarmStats) -> String {
     format!(
         "{seconds:.3}s  jobs={} sims={} mem={} disk={} dedup={} pruned={}",
         s.jobs, s.sims, s.mem_hits, s.disk_hits, s.dedup, s.pruned
@@ -332,7 +332,7 @@ fn submit(
 }
 
 /// Render each axis as an ASCII speedup table on stdout.
-pub fn print_tables(results: &[SweepResult]) {
+fn print_tables(results: &[SweepResult]) {
     for r in results {
         let mut t = Table::new(&["point", "CAPS speedup"]);
         for (label, s) in r.labels.iter().zip(&r.speedup) {
@@ -366,12 +366,7 @@ pub fn sweep_summary_json(results: &[SweepResult]) -> String {
 
 /// Farm/cache counter report, including the batch's `job_keys` so the
 /// file doubles as a `--prune-against` archive.
-pub fn stats_json(
-    stats: &FarmStats,
-    cache: &ResultCache,
-    seconds: f64,
-    job_keys: &[u128],
-) -> Value {
+fn stats_json(stats: &FarmStats, cache: &ResultCache, seconds: f64, job_keys: &[u128]) -> Value {
     let c = cache.counters();
     obj(vec![
         ("jobs", Value::UInt(stats.jobs)),

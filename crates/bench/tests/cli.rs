@@ -56,6 +56,8 @@ fn removed_and_unknown_flags_are_refused() {
     let run = env!("CARGO_BIN_EXE_run");
     let err = refused(run, &["JC1", "base", "--threads", "2"]);
     assert!(err.contains("unknown flag --threads"), "{err}");
+    let err = refused(env!("CARGO_BIN_EXE_farm"), &["--bench", "--small"]);
+    assert!(err.contains("unknown flag --bench"), "{err}");
     let err = refused(env!("CARGO_BIN_EXE_run_all"), &["--only", "fig03,nosuch"]);
     assert!(err.contains("\"nosuch\""), "{err}");
     assert!(

@@ -44,8 +44,9 @@ const TAG_INVALID: Addr = Addr::MAX;
 
 /// Associativity the wide tag compare is specialised for. Eight u64
 /// tags are one 64-byte hardware cache line and exactly two 256-bit
-/// vector registers, so the full-config 8-way L1/L2 probe becomes two
-/// compares plus a movemask.
+/// vector registers, so the full-config 8-way L2 probe becomes two
+/// compares plus a movemask. Table III's 4-way L1D takes the scalar
+/// scan.
 const WIDE_WAYS: usize = 8;
 
 /// Runtime check for the wide tag compare. Separate from the per-set

@@ -270,9 +270,18 @@ impl GpuConfig {
     }
 
     /// Why this configuration is impossible, if it is: the first broken
-    /// consistency rule, as a message naming it.
+    /// consistency rule, as a message naming it. Never panics, so it can
+    /// screen configurations that arrive from outside the program.
     pub fn check(&self) -> Result<(), &'static str> {
         let require = |ok: bool, why: &'static str| if ok { Ok(()) } else { Err(why) };
+        // `sets()` divides by the way size; a zero or overflowing way
+        // size has no whole sets.
+        let pow2_sets = |c: &CacheConfig| {
+            c.line_size
+                .checked_mul(c.assoc)
+                .and_then(|way| c.size_bytes.checked_div(way))
+                .is_some_and(u32::is_power_of_two)
+        };
         require(self.num_sms > 0, "need at least one SM")?;
         require(
             self.simt_width.is_power_of_two(),
@@ -287,14 +296,8 @@ impl GpuConfig {
             self.l1d.line_size == self.l2.line_size,
             "L1/L2 line sizes must match",
         )?;
-        require(
-            self.l1d.sets().is_power_of_two(),
-            "L1 set count must be a power of two",
-        )?;
-        require(
-            self.l2.sets().is_power_of_two(),
-            "L2 set count must be a power of two",
-        )?;
+        require(pow2_sets(&self.l1d), "L1 set count must be a power of two")?;
+        require(pow2_sets(&self.l2), "L2 set count must be a power of two")?;
         require(
             self.num_partitions >= self.num_dram_channels,
             "partitions map onto channels",
@@ -302,7 +305,19 @@ impl GpuConfig {
         require(
             self.ready_queue_size > 0,
             "two-level ready queue cannot be empty",
-        )
+        )?;
+        require(self.l1d.mshr_entries > 0, "L1 needs an MSHR entry")?;
+        require(self.l1d.mshr_merge > 0, "L1 MSHR merge limit is zero")?;
+        require(self.l2.mshr_entries > 0, "L2 needs an MSHR entry")?;
+        require(self.l2.mshr_merge > 0, "L2 MSHR merge limit is zero")?;
+        require(self.num_dram_channels > 0, "need at least one DRAM channel")?;
+        require(self.dram_banks > 0, "need at least one DRAM bank")?;
+        require(self.dram_queue_entries > 0, "DRAM queues cannot be empty")?;
+        require(self.dram_clock_mhz > 0, "DRAM clock cannot be zero")?;
+        require(self.icnt_bandwidth > 0, "interconnect bandwidth is zero")?;
+        require(self.icnt_queue_depth > 0, "interconnect queues are empty")?;
+        require(self.ldst_queue_depth > 0, "LD/ST queue cannot be empty")?;
+        require(self.prefetch_queue_depth > 0, "prefetch queue is empty")
     }
 
     /// Validates internal consistency; panics with a clear message when a
@@ -490,6 +505,35 @@ mod tests {
         assert_eq!(c.check(), Err("need at least one CTA per SM"));
         c.max_ctas_per_sm = c.max_warps_per_sm + 1;
         assert_eq!(c.check(), Err("cannot host more CTAs than warps"));
+    }
+
+    #[test]
+    fn check_refuses_zero_sized_resources_without_panicking() {
+        type Flip = fn(&mut GpuConfig);
+        let flips: &[(&str, Flip)] = &[
+            ("l1d.assoc", |c| c.l1d.assoc = 0),
+            ("l2.assoc", |c| c.l2.assoc = 0),
+            ("line_size", |c| (c.l1d.line_size, c.l2.line_size) = (0, 0)),
+            ("l1d.assoc 2^30", |c| c.l1d.assoc = 1 << 30),
+            ("l1d.mshr_entries", |c| c.l1d.mshr_entries = 0),
+            ("l1d.mshr_merge", |c| c.l1d.mshr_merge = 0),
+            ("l2.mshr_entries", |c| c.l2.mshr_entries = 0),
+            ("l2.mshr_merge", |c| c.l2.mshr_merge = 0),
+            ("num_partitions", |c| c.num_partitions = 0),
+            ("num_dram_channels", |c| c.num_dram_channels = 0),
+            ("dram_banks", |c| c.dram_banks = 0),
+            ("dram_queue_entries", |c| c.dram_queue_entries = 0),
+            ("ldst_queue_depth", |c| c.ldst_queue_depth = 0),
+            ("icnt_queue_depth", |c| c.icnt_queue_depth = 0),
+            ("prefetch_queue_depth", |c| c.prefetch_queue_depth = 0),
+            ("icnt_bandwidth", |c| c.icnt_bandwidth = 0),
+            ("dram_clock_mhz", |c| c.dram_clock_mhz = 0),
+        ];
+        for &(field, flip) in flips {
+            let mut c = GpuConfig::fermi_gtx480();
+            flip(&mut c);
+            assert!(c.check().is_err(), "{field}: passed the check");
+        }
     }
 
     #[test]

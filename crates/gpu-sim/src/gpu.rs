@@ -996,9 +996,9 @@ impl Gpu {
         }
     }
 
-    /// The adaptive engine-selection report of earlier simulator
-    /// versions; the sequential loop has no such controller, so this is
-    /// always [`AdaptReport::default`] (kept for the record format).
+    /// Always [`AdaptReport::default`]: the sequential loop has no
+    /// engine selector. Kept only for the `RunRecord` literal in
+    /// `perfbench/`; removed with it.
     pub fn adapt_report(&self) -> AdaptReport {
         AdaptReport::default()
     }

@@ -52,10 +52,11 @@ impl LinkReport {
 }
 
 /// Report of the adaptive sequential-vs-parallel engine selector that
-/// earlier simulator versions ran: per-window ns-per-cycle EMAs and
-/// decision counters. The simulator is sequential now, so every new
-/// record carries the all-zero default; the type keeps the record
-/// format, and archives written with real samples, readable.
+/// earlier simulator versions ran. The simulator is sequential, so it
+/// is always the all-zero default and no record format carries it. Kept
+/// only because the benchmark in `perfbench/` builds a `RunRecord`
+/// literal from [`crate::gpu::Gpu::adapt_report`]; removed with that
+/// line.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdaptReport {
     /// EMA of host nanoseconds per simulated cycle under the sequential

@@ -1,7 +1,8 @@
 //! Persistent content-addressed result cache.
 //!
 //! Every run is keyed by a [`Digest`] over the complete run identity —
-//! engine variant, workload, scale, full [`GpuConfig`], the materialized
+//! engine variant, workload, scale, full
+//! [`GpuConfig`](caps_gpu_sim::config::GpuConfig), the materialized
 //! kernel IR, and the effective cycle ceiling — salted with the build's
 //! simulator-source fingerprint (`CAPS_SIM_FINGERPRINT`, computed by
 //! `build.rs`) and the cache schema version. Two consequences:

@@ -197,28 +197,6 @@ fn kernel_stats_from_value(v: &Value) -> Result<KernelStats, Error> {
     Ok(k)
 }
 
-/// Serialize an adaptive-controller report.
-fn adapt_to_value(a: &AdaptReport) -> Value {
-    obj(vec![
-        ("seq_ns_per_cycle", Value::Float(a.seq_ns_per_cycle)),
-        ("par_ns_per_cycle", Value::Float(a.par_ns_per_cycle)),
-        ("windows", Value::UInt(a.windows)),
-        ("par_windows", Value::UInt(a.par_windows)),
-        ("switches", Value::UInt(a.switches)),
-    ])
-}
-
-/// Parse an adaptive-controller report.
-fn adapt_from_value(v: &Value) -> Result<AdaptReport, Error> {
-    Ok(AdaptReport {
-        seq_ns_per_cycle: v.require("seq_ns_per_cycle")?.as_f64()?,
-        par_ns_per_cycle: v.require("par_ns_per_cycle")?.as_f64()?,
-        windows: v.require("windows")?.as_u64()?,
-        par_windows: v.require("par_windows")?.as_u64()?,
-        switches: v.require("switches")?.as_u64()?,
-    })
-}
-
 /// Serialize one record (shared with the result cache's entry files and
 /// the simulation service's streamed `record` replies).
 pub fn record_to_value(r: &RunRecord) -> Value {
@@ -232,7 +210,6 @@ pub fn record_to_value(r: &RunRecord) -> Value {
             "per_kernel",
             Value::Arr(r.per_kernel.iter().map(kernel_stats_to_value).collect()),
         ),
-        ("adapt", adapt_to_value(&r.adapt)),
     ])
 }
 
@@ -244,25 +221,14 @@ pub fn record_from_value(v: &Value) -> Result<RunRecord, Error> {
         engine: v.require("engine")?.as_str()?.to_string(),
         stats: stats_from_value(v.require("stats")?)?,
         energy: energy_from_value(v.require("energy")?)?,
-        // Absent in records archived before the port layer existed.
-        links: match v.get("links") {
-            Some(lv) => links_from_value(lv)?,
-            None => LinkReport::default(),
-        },
-        // Absent in records archived before the multi-tenant layer:
-        // solo records legitimately carry an empty per-tenant block.
-        per_kernel: match v.get("per_kernel") {
-            Some(pv) => pv
-                .as_arr()?
-                .iter()
-                .map(kernel_stats_from_value)
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        },
-        adapt: match v.get("adapt") {
-            Some(av) => adapt_from_value(av)?,
-            None => AdaptReport::default(),
-        },
+        links: links_from_value(v.require("links")?)?,
+        per_kernel: v
+            .require("per_kernel")?
+            .as_arr()?
+            .iter()
+            .map(kernel_stats_from_value)
+            .collect::<Result<_, _>>()?,
+        adapt: AdaptReport::default(),
     })
 }
 
@@ -412,8 +378,7 @@ pub fn config_to_value(c: &GpuConfig) -> Value {
 }
 
 /// Parse a full GPU configuration (no validation — callers that accept
-/// untrusted input should [`GpuConfig::validate`] behind
-/// `catch_unwind`).
+/// untrusted input check the job with [`RunSpec::check`]).
 pub fn config_from_value(v: &Value) -> Result<GpuConfig, Error> {
     let mut c = GpuConfig::fermi_gtx480();
     macro_rules! read {
@@ -599,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn co_run_records_round_trip_per_kernel_and_adapt() {
+    fn co_run_records_round_trip_per_kernel() {
         let spec = RunSpec::small(Workload::Scn, Engine::Caps)
             .co_resident(vec![Workload::Mrq], caps_gpu_sim::tenant::Partitioning::Shared);
         let r = run_one(&spec);
@@ -607,26 +572,6 @@ mod tests {
         let back = from_json(&to_json(std::slice::from_ref(&r))).expect("parses");
         assert_eq!(back[0].per_kernel, r.per_kernel);
         assert_eq!(back[0].stats, r.stats);
-        assert_eq!(back[0].adapt.windows, r.adapt.windows);
-        assert_eq!(back[0].adapt.seq_ns_per_cycle, r.adapt.seq_ns_per_cycle);
-    }
-
-    #[test]
-    fn pre_tenant_records_parse_with_empty_per_kernel() {
-        // The on-disk shape before the multi-tenant layer: no
-        // `per_kernel`, no `adapt`, no `links`.
-        let r = run_one(&RunSpec::small(Workload::Scn, Engine::Baseline));
-        let legacy = Value::Arr(vec![obj(vec![
-            ("workload", Value::Str(r.workload.clone())),
-            ("engine", Value::Str(r.engine.clone())),
-            ("stats", stats_to_value(&r.stats)),
-            ("energy", energy_to_value(&r.energy)),
-        ])])
-        .pretty();
-        let back = from_json(&legacy).expect("legacy shape parses");
-        assert_eq!(back[0].stats, r.stats);
-        assert!(back[0].per_kernel.is_empty());
-        assert_eq!(back[0].adapt, AdaptReport::default());
     }
 
     #[test]
@@ -685,40 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn records_with_staging_links_and_adapt_samples_parse() {
-        // Records archived by the parallel engine carry a `staging` link
-        // row and measured `adapt` samples.
-        let r = run_one(&RunSpec::small(Workload::Scn, Engine::Baseline));
-        let mut v = record_to_value(&r);
-        if let Value::Obj(fields) = &mut v {
-            for (k, f) in fields.iter_mut() {
-                match (k.as_str(), f) {
-                    ("links", Value::Obj(links)) => links.push((
-                        "staging".to_string(),
-                        snapshot_to_value(&PortSnapshot {
-                            high_water: 15,
-                            credit_stalls: 0,
-                            grows: 0,
-                        }),
-                    )),
-                    ("adapt", slot) => {
-                        *slot = adapt_to_value(&AdaptReport {
-                            seq_ns_per_cycle: 2100.0,
-                            windows: 3,
-                            ..AdaptReport::default()
-                        })
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let back = record_from_value(&v).expect("legacy shape parses");
-        assert_eq!(back.stats, r.stats);
-        assert_eq!(back.links, r.links);
-        assert_eq!(back.adapt.windows, 3);
-    }
-
-    #[test]
     fn bad_spec_fields_are_schema_errors() {
         let spec = RunSpec::small(Workload::Scn, Engine::Caps);
         let good = spec_to_value(&spec);
@@ -744,7 +655,15 @@ mod tests {
     #[test]
     fn missing_stats_field_is_an_error() {
         let r = run_one(&RunSpec::small(Workload::Scn, Engine::Baseline));
-        let json = to_json(&[r]).replace("\"cycles\"", "\"cycels\"");
+        let json = to_json(std::slice::from_ref(&r)).replace("\"cycles\"", "\"cycels\"");
         assert!(from_json(&json).is_err());
+        // `links` and `per_kernel` are required, like `stats`.
+        for block in ["links", "per_kernel"] {
+            let mut v = record_to_value(&r);
+            if let Value::Obj(fields) = &mut v {
+                fields.retain(|(k, _)| k != block);
+            }
+            assert!(record_from_value(&v).is_err(), "record without {block}");
+        }
     }
 }

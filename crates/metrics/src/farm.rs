@@ -87,8 +87,8 @@ impl PruneSet {
     ///   `<32-hex-key>.json` file contributes its stem.
     /// * A **file** is scanned for quoted 32-hex-digit strings, which
     ///   covers both a bare JSON array of keys and any report carrying a
-    ///   `"job_keys"` list (e.g. `BENCH_farm.json`), without needing a
-    ///   full JSON parser.
+    ///   `"job_keys"` list (e.g. a `farm --stats` file), without needing
+    ///   a full JSON parser.
     pub fn load(path: &Path) -> std::io::Result<PruneSet> {
         let mut set = PruneSet::new();
         if path.is_dir() {
@@ -517,7 +517,7 @@ mod tests {
 
         // File form: any report carrying quoted 32-hex keys, e.g. a
         // farm summary with a job_keys array.
-        let report = dir.join("BENCH_farm.json");
+        let report = dir.join("farm_stats.json");
         std::fs::write(
             &report,
             format!(

@@ -13,6 +13,7 @@ use caps_gpu_sim::config::GpuConfig;
 use caps_gpu_sim::gpu::Gpu;
 use caps_gpu_sim::stats::{AdaptReport, KernelStats, LinkReport, Stats};
 use caps_gpu_sim::tenant::Partitioning;
+use caps_gpu_sim::types::MAX_TENANTS;
 use caps_workloads::{Scale, Workload};
 
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -107,6 +108,38 @@ impl RunSpec {
         };
         self
     }
+
+    /// Why this spec cannot run, if it cannot: a broken configuration
+    /// rule ([`GpuConfig::check`]), more partners than the machine has
+    /// kernel contexts, or a kernel whose CTA needs more warps than an
+    /// SM holds. Never panics, so it can screen jobs that arrive from
+    /// outside the program.
+    pub fn check(&self) -> Result<(), String> {
+        let cfg = &self.base_config;
+        cfg.check()?;
+        let partners = match &self.tenancy {
+            Tenancy::Solo => &[][..],
+            Tenancy::Co { partners, .. } => &partners[..],
+        };
+        if partners.len() >= MAX_TENANTS {
+            return Err(format!(
+                "a co-run takes at most {} partners, got {}",
+                MAX_TENANTS - 1,
+                partners.len()
+            ));
+        }
+        for w in std::iter::once(&self.workload).chain(partners) {
+            let warps = w.kernel(self.scale).warps_per_cta(cfg.simt_width) as usize;
+            if warps > cfg.max_warps_per_sm {
+                return Err(format!(
+                    "a {} CTA needs {warps} warps, over max_warps_per_sm {}",
+                    w.abbr(),
+                    cfg.max_warps_per_sm
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The outcome of one run.
@@ -128,8 +161,9 @@ pub struct RunRecord {
     /// surface; `start_cycle`/`finish_cycle` bound each tenant's
     /// residency window.
     pub per_kernel: Vec<KernelStats>,
-    /// Report of the engine selector earlier simulator versions ran;
-    /// always [`AdaptReport::default`] in new records.
+    /// Always [`AdaptReport::default`], and not serialized. Kept only
+    /// because the benchmark in `perfbench/` builds a `RunRecord`
+    /// literal that sets it; removed with that line.
     pub adapt: AdaptReport,
 }
 

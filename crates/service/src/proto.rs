@@ -359,8 +359,6 @@ impl Response {
                     jobs_done: u("jobs_done")?,
                 })
             }
-            // Servers that ran the adaptive engine selector also sent an
-            // `adapt` sample list; it is ignored.
             "stats" => Ok(Response::Stats {
                 farm: farm_stats_from_value(v.require("farm").map_err(|e| e.to_string())?)?,
                 cache: counters_from_value(v.require("cache").map_err(|e| e.to_string())?)?,
@@ -572,18 +570,6 @@ mod tests {
             let back = Response::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line);
         }
-        // A stats reply from a server that still sent adaptive-engine
-        // samples parses; the samples are dropped.
-        let mut legacy = Response::Stats {
-            farm: FarmStats::default(),
-            cache: CacheCounters::default(),
-        }
-        .to_value();
-        if let Value::Obj(fields) = &mut legacy {
-            fields.push(("adapt".to_string(), Value::Arr(vec![Value::UInt(1)])));
-        }
-        let back = Response::parse_line(&format!("{}\n", legacy.compact())).unwrap();
-        assert!(matches!(back, Response::Stats { .. }));
     }
 
     #[test]

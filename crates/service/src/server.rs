@@ -147,14 +147,7 @@ impl Server {
                     // The connection that woke a shutdown is dropped.
                     Ok(_) if self.is_shutting_down() => break,
                     Ok((stream, _)) => {
-                        scope.spawn(move || {
-                            // Isolate connection panics: the accept
-                            // loop (and the scope join) must survive
-                            // anything a single connection does.
-                            let _ = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| self.handle_connection(stream)),
-                            );
-                        });
+                        scope.spawn(move || self.handle_connection(stream));
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => std::thread::sleep(ACCEPT_RETRY),
@@ -168,10 +161,13 @@ impl Server {
     /// One connection: a request loop until EOF, error, or shutdown.
     fn handle_connection(&self, stream: UnixStream) {
         self.connections.fetch_add(1, Ordering::SeqCst);
-        let r = self.connection_loop(stream);
+        // Client-side disconnects are routine, not server errors. A
+        // panic is caught so that the accept loop (and the scope join)
+        // survive it and the connection still leaves the count.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.connection_loop(stream)
+        }));
         self.connections.fetch_sub(1, Ordering::SeqCst);
-        // Client-side disconnects are routine, not server errors.
-        let _ = r;
     }
 
     fn connection_loop(&self, stream: UnixStream) -> io::Result<()> {
@@ -276,18 +272,13 @@ impl Server {
 
     /// Run one batch, streaming records as they complete.
     fn serve_submit(&self, jobs: &[FarmJob], writer: &mut UnixStream) -> io::Result<()> {
-        // Validate up front: the simulator's constructors panic on
-        // nonsensical configs, and a panic inside the farm would cost
-        // the whole connection. Checked here, it is just a reply.
+        // Check up front: the simulator panics on a job it cannot run,
+        // and a panic inside the farm would cost the whole connection.
+        // Checked here, it is just a reply.
         for (i, job) in jobs.iter().enumerate() {
-            let cfg = job.spec.base_config.clone();
-            if std::panic::catch_unwind(move || cfg.validate()).is_err() {
-                write_response(
-                    writer,
-                    &Response::Error {
-                        message: format!("job {i}: invalid GpuConfig (validation failed)"),
-                    },
-                )?;
+            if let Err(why) = job.spec.check() {
+                let message = format!("job {i}: {why}");
+                write_response(writer, &Response::Error { message })?;
                 return Ok(());
             }
         }

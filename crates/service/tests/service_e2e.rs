@@ -3,8 +3,9 @@
 //!
 //! The satellite guarantees exercised here:
 //!
-//! * malformed and truncated requests earn `error` replies (or a clean
-//!   connection drop) and never kill the server;
+//! * malformed and truncated requests, and jobs the simulator cannot
+//!   run, earn `error` replies (or a clean connection drop) and never
+//!   kill the server;
 //! * two concurrent clients multiplex onto one farm and receive
 //!   **bit-identical** records — and a cached second pass is
 //!   byte-identical to the fresh first pass across the socket;
@@ -20,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use caps_metrics::{
-    record_to_value, CacheMode, Engine, Farm, FarmJob, ResultCache, RunOpts, RunSpec,
+    record_to_value, CacheMode, Engine, Farm, FarmJob, Partitioning, ResultCache, RunOpts, RunSpec,
 };
 use caps_service::{Client, LineReader, Response, Server, ServerConfig, PROTOCOL_VERSION};
 use caps_workloads::Workload;
@@ -152,7 +153,33 @@ fn malformed_requests_get_error_replies_and_the_connection_survives() {
         let mut half = UnixStream::connect(&sock).unwrap();
         half.write_all(b"{\"op\":\"stat").unwrap();
     } // dropped mid-line
-    let (proto, ..) = server.connect().status().expect("server alive after truncation");
+
+    // Jobs the simulator cannot run are refused by name, and the same
+    // client is still served afterwards.
+    let spec = RunSpec::small(Workload::Jc1, Engine::Baseline);
+    let mut no_mshr = spec.clone();
+    no_mshr.base_config.l1d.mshr_entries = 0;
+    let mut no_channel = spec.clone();
+    no_channel.base_config.num_dram_channels = 0;
+    let crowded = spec
+        .clone()
+        .co_resident(vec![Workload::Mrq; 4], Partitioning::Shared);
+    let mut narrow = spec;
+    narrow.base_config.max_warps_per_sm = 2;
+    narrow.base_config.max_ctas_per_sm = 2;
+    let mut client = server.connect();
+    for (spec, rule) in [
+        (no_mshr, "MSHR entry"),
+        (no_channel, "DRAM channel"),
+        (crowded, "at most 3 partners"),
+        (narrow, "max_warps_per_sm"),
+    ] {
+        let err = client
+            .submit_streaming(&[FarmJob::new(spec)], &mut |_, _| {})
+            .expect_err("an impossible job is refused");
+        assert!(err.to_string().contains(rule), "{rule}: {err}");
+    }
+    let (proto, ..) = client.status().expect("server alive after refusals");
     assert_eq!(proto, PROTOCOL_VERSION);
 }
 

@@ -280,8 +280,7 @@ fn bench_throughput(args: &Args) {
             ("fast_cycles_per_sec", Value::Float(cycles as f64 / wake_s)),
             ("speedup", Value::Float(speedup)),
             // Growth-valve activations across the whole memory path:
-            // 0 = the preallocated ring sizing held and the run was
-            // allocation-free in steady state.
+            // 0 = no ring grew past its reserved bound.
             ("ring_grows", Value::UInt(wake_rec.links.total().grows)),
         ]));
     }

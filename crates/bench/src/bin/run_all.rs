@@ -59,8 +59,8 @@ fn main() {
     // per-workload throughput report. The `q hw`/`cr stall`/`grows`
     // columns summarise the port-layer report: the deepest ring
     // high-water mark, total credit-stall events, and growth-valve
-    // activations (0 = the preallocated sizing held and the memory path
-    // ran allocation-free).
+    // activations past a ring's reserved bound (0 = the architectural
+    // sizing held everywhere).
     println!("\nStepping-mode determinism (CAPS; naive vs wake-driven):");
     let mut table = Table::new(&[
         "bench", "cycles", "naive s", "wake s", "wake x", "q hw", "cr stall", "grows",

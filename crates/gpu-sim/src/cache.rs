@@ -42,12 +42,22 @@ const EMPTY_META: LineMeta = LineMeta {
 /// the tag compare itself.
 const TAG_INVALID: Addr = Addr::MAX;
 
-/// Associativity the wide tag compare is specialised for. Eight u64
+/// Associativities the wide tag compare is specialised for. Eight u64
 /// tags are one 64-byte hardware cache line and exactly two 256-bit
 /// vector registers, so the full-config 8-way L2 probe becomes two
-/// compares plus a movemask. Table III's 4-way L1D takes the scalar
-/// scan.
+/// compares plus a movemask; Table III's 4-way L1D set is one register
+/// and one compare.
 const WIDE_WAYS: usize = 8;
+const WIDE4_WAYS: usize = 4;
+
+/// Which tag compare a cache's set probe uses, decided once at
+/// construction from its associativity and the host CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TagScan {
+    Scalar,
+    Wide4,
+    Wide8,
+}
 
 /// Runtime check for the wide tag compare. Separate from the per-set
 /// scan so `Cache::new` probes CPUID once and the hot path only tests
@@ -96,10 +106,35 @@ unsafe fn wide8_position(tags: &[Addr], needle: Addr) -> Option<usize> {
     None
 }
 
-/// Portable stand-in so non-x86 builds still compile; `wide_ok` is
-/// always false there and this is never reached at runtime.
+/// Portable stand-in so non-x86 builds still compile; the scan is
+/// always [`TagScan::Scalar`] there and this is never reached at runtime.
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
 unsafe fn wide8_position(tags: &[Addr], needle: Addr) -> Option<usize> {
+    tags.iter().position(|&t| t == needle)
+}
+
+/// AVX2 4-way tag compare: one `_mm256_cmpeq_epi64` and a movemask,
+/// returning the **first** matching way like [`wide8_position`].
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available and `tags.len() == WIDE4_WAYS`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn wide4_position(tags: &[Addr], needle: Addr) -> Option<usize> {
+    use std::arch::x86_64::{
+        __m256i, _mm256_cmpeq_epi64, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_set1_epi64x,
+    };
+    debug_assert_eq!(tags.len(), WIDE4_WAYS);
+    let key = _mm256_set1_epi64x(needle as i64);
+    let set = _mm256_loadu_si256(tags.as_ptr() as *const __m256i);
+    let mask = _mm256_movemask_epi8(_mm256_cmpeq_epi64(set, key)) as u32;
+    (mask != 0).then(|| mask.trailing_zeros() as usize / 8)
+}
+
+/// Portable stand-in (see [`wide8_position`]'s twin).
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+unsafe fn wide4_position(tags: &[Addr], needle: Addr) -> Option<usize> {
     tags.iter().position(|&t| t == needle)
 }
 
@@ -144,7 +179,7 @@ unsafe fn wide8_min_index(stamps: &[u64]) -> usize {
 }
 
 /// Portable stand-in (see [`wide8_position`]'s twin): never reached at
-/// runtime because `wide_ok` is false off x86-64/AVX2.
+/// runtime because the scan is scalar off x86-64/AVX2.
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
 unsafe fn wide8_min_index(stamps: &[u64]) -> usize {
     let mut w = 0;
@@ -198,12 +233,14 @@ pub struct Cache {
     meta: Vec<LineMeta>,
     sets: usize,
     assoc: usize,
+    /// `log2(line_size)`: set indexing shifts instead of dividing.
+    line_shift: u32,
     use_clock: u64,
-    /// Whether the 8-way tag scan may use the AVX2 wide compare.
-    /// Decided once at construction (`assoc == 8` and the CPU reports
-    /// AVX2); `find` branches on this flag so the per-access cost is a
-    /// predictable test, not a feature probe.
-    wide_ok: bool,
+    /// Which tag compare the set probe uses. Decided once at
+    /// construction (`assoc` of 4 or 8 and the CPU reports AVX2);
+    /// `find` branches on it so the per-access cost is a predictable
+    /// test, not a feature probe.
+    scan: TagScan,
 }
 
 impl Cache {
@@ -211,7 +248,16 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets() as usize;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            cfg.line_size.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let assoc = cfg.assoc as usize;
+        let scan = match assoc {
+            WIDE_WAYS if wide_compare_available() => TagScan::Wide8,
+            WIDE4_WAYS if wide_compare_available() => TagScan::Wide4,
+            _ => TagScan::Scalar,
+        };
         Cache {
             cfg,
             tags: vec![TAG_INVALID; sets * assoc],
@@ -219,8 +265,9 @@ impl Cache {
             meta: vec![EMPTY_META; sets * assoc],
             sets,
             assoc,
+            line_shift: cfg.line_size.trailing_zeros(),
             use_clock: 0,
-            wide_ok: assoc == WIDE_WAYS && wide_compare_available(),
+            scan,
         }
     }
 
@@ -237,7 +284,7 @@ impl Cache {
     /// GPGPU-Sim's hashed L2 set function does) restores full capacity.
     #[inline]
     fn set_of(&self, line_addr: Addr) -> usize {
-        let idx = (line_addr / self.cfg.line_size as Addr) as usize;
+        let idx = (line_addr >> self.line_shift) as usize;
         let bits = self.sets.trailing_zeros() as usize;
         (idx ^ (idx >> bits) ^ (idx >> (2 * bits))) & (self.sets - 1)
     }
@@ -246,17 +293,17 @@ impl Cache {
     #[inline]
     fn find(&self, set: usize, line_addr: Addr) -> Option<usize> {
         let base = set * self.assoc;
-        if self.wide_ok {
-            // SAFETY: `wide_ok` is only set when the CPU reported AVX2
-            // at construction and `assoc == WIDE_WAYS`, so the slice
-            // passed here is exactly 8 tags long.
-            return unsafe { wide8_position(&self.tags[base..base + WIDE_WAYS], line_addr) }
-                .map(|w| base + w);
-        }
-        self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&t| t == line_addr)
-            .map(|w| base + w)
+        let tags = &self.tags[base..base + self.assoc];
+        let way = match self.scan {
+            // SAFETY: `Wide4` is only chosen when the CPU reported AVX2
+            // at construction and `assoc == WIDE4_WAYS`, so `tags` is
+            // exactly 4 long.
+            TagScan::Wide4 => unsafe { wide4_position(tags, line_addr) },
+            // SAFETY: as above, with `assoc == WIDE_WAYS` (8 tags).
+            TagScan::Wide8 => unsafe { wide8_position(tags, line_addr) },
+            TagScan::Scalar => tags.iter().position(|&t| t == line_addr),
+        };
+        way.map(|w| base + w)
     }
 
     /// Non-destructive presence check (no LRU update, no consumption).
@@ -318,25 +365,19 @@ impl Cache {
 
         // First empty way, else the LRU way (earliest way on a stamp
         // tie, matching `min_by_key` over the former array-of-structs).
-        // The 8-way wide path reuses the tag compare against the
-        // `TAG_INVALID` sentinel for the empty-way scan and an AVX2
-        // min-reduce for the stamp scan; both are first-match/
-        // earliest-way equivalent to the scalar loops below.
-        let victim = if self.wide_ok {
-            // SAFETY: `wide_ok` implies AVX2 was detected and
-            // `assoc == WIDE_WAYS`, so both slices are exactly 8 long.
-            unsafe {
-                match wide8_position(&self.tags[base..base + WIDE_WAYS], TAG_INVALID) {
-                    Some(w) => base + w,
-                    None => base + wide8_min_index(&self.last_use[base..base + WIDE_WAYS]),
-                }
-            }
-        } else {
-            let tags = &self.tags[base..base + self.assoc];
-            match tags.iter().position(|&t| t == TAG_INVALID) {
-                Some(w) => base + w,
-                None => {
-                    let stamps = &self.last_use[base..base + self.assoc];
+        // The empty-way scan is the tag compare against the
+        // `TAG_INVALID` sentinel; the 8-way wide path adds an AVX2
+        // min-reduce for the stamp scan. Both are first-match/
+        // earliest-way equivalent to the scalar loops.
+        let victim = match self.find(set, TAG_INVALID) {
+            Some(i) => i,
+            None => {
+                let stamps = &self.last_use[base..base + self.assoc];
+                if self.scan == TagScan::Wide8 {
+                    // SAFETY: `Wide8` implies AVX2 was detected and
+                    // `assoc == WIDE_WAYS`, so `stamps` is exactly 8 long.
+                    base + unsafe { wide8_min_index(stamps) }
+                } else {
                     let mut w = 0;
                     for (i, &s) in stamps.iter().enumerate().skip(1) {
                         if s < stamps[w] {
@@ -580,64 +621,75 @@ mod tests {
         assert_eq!(out.writeback, Some(s[0]));
     }
 
-    /// The wide compare must agree with the scalar `position` scan on
+    /// The wide compares must agree with the scalar `position` scan on
     /// every probe pattern: misses, hits in each way, the invalid
     /// sentinel, and duplicate tags (first match wins). Runs the same
-    /// workload through an 8-way cache (wide path where the host has
-    /// AVX2) and a direct scalar scan over its tag array.
+    /// workload through a 4-way and an 8-way cache (wide paths where the
+    /// host has AVX2) and a direct scalar scan over each tag array.
     #[test]
     fn wide_tag_compare_matches_scalar_scan() {
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 8 * 128 * 16,
-            line_size: 128,
-            assoc: 8,
-            mshr_entries: 4,
-            mshr_merge: 4,
-            hit_latency: 1,
-        });
-        assert_eq!(c.assoc, WIDE_WAYS);
-
-        // Deterministic LCG address stream: fills, probes and
-        // invalidations exercise hits in every way plus misses.
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut step = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) * 128
-        };
-        let mut addrs = Vec::new();
-        for _ in 0..512 {
-            let a = step();
-            c.fill(a, None);
-            addrs.push(a);
-        }
-        for (i, &a) in addrs.iter().enumerate() {
-            let probes = [a, a + 128, step()];
-            for p in probes {
-                let set = c.set_of(p);
-                let base = set * c.assoc;
-                let scalar = c.tags[base..base + c.assoc]
-                    .iter()
-                    .position(|&t| t == p)
-                    .map(|w| base + w);
-                assert_eq!(c.find(set, p), scalar, "probe {p:#x} step {i}");
+        for (assoc, wide) in [(WIDE4_WAYS, TagScan::Wide4), (WIDE_WAYS, TagScan::Wide8)] {
+            let mut c = Cache::new(CacheConfig {
+                size_bytes: assoc as u32 * 128 * 16,
+                line_size: 128,
+                assoc: assoc as u32,
+                mshr_entries: 4,
+                mshr_merge: 4,
+                hit_latency: 1,
+            });
+            if wide_compare_available() {
+                assert_eq!(c.scan, wide, "{assoc}-way cache takes its wide scan");
             }
-            if i % 7 == 0 {
-                c.invalidate(a);
-            }
-        }
 
-        // First-match semantics on a hand-built duplicate set: way 2
-        // and way 5 hold the same tag; both paths must report way 2.
-        let set = c.set_of(0);
-        let base = set * c.assoc;
-        for w in 0..WIDE_WAYS {
-            c.tags[base + w] = TAG_INVALID;
+            // Deterministic LCG address stream: fills, probes and
+            // invalidations exercise hits in every way plus misses.
+            let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+            let mut step = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) * 128
+            };
+            let mut addrs = Vec::new();
+            for _ in 0..512 {
+                let a = step();
+                c.fill(a, None);
+                addrs.push(a);
+            }
+            for (i, &a) in addrs.iter().enumerate() {
+                let probes = [a, a + 128, step(), TAG_INVALID];
+                for p in probes {
+                    let set = c.set_of(p);
+                    let base = set * c.assoc;
+                    let scalar = c.tags[base..base + c.assoc]
+                        .iter()
+                        .position(|&t| t == p)
+                        .map(|w| base + w);
+                    assert_eq!(c.find(set, p), scalar, "{assoc}-way probe {p:#x} step {i}");
+                }
+                if i % 7 == 0 {
+                    c.invalidate(a);
+                }
+            }
+
+            // First-match semantics on a hand-built duplicate set: the
+            // last two ways hold the same tag, and so do the first and
+            // the last; every path must report the earlier way.
+            let set = c.set_of(0);
+            let base = set * c.assoc;
+            for w in 0..assoc {
+                c.tags[base + w] = TAG_INVALID;
+            }
+            c.tags[base + assoc - 2] = 0;
+            c.tags[base + assoc - 1] = 0;
+            assert_eq!(c.find(set, 0), Some(base + assoc - 2));
+            c.tags[base] = 640;
+            c.tags[base + assoc - 1] = 640;
+            assert_eq!(c.find(set, 640), Some(base));
+            assert_eq!(c.find(set, TAG_INVALID), Some(base + 1));
+            // Misses in the duplicate set still miss.
+            assert_eq!(c.find(set, 1280), None);
         }
-        c.tags[base + 2] = 0;
-        c.tags[base + 5] = 0;
-        assert_eq!(c.find(set, 0), Some(base + 2));
-        // Misses in the duplicate set still miss.
-        assert_eq!(c.find(set, 640), None);
     }
 
     /// The wide victim scan must agree with the scalar min-tracking loop

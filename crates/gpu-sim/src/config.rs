@@ -296,6 +296,11 @@ impl GpuConfig {
             self.l1d.line_size == self.l2.line_size,
             "L1/L2 line sizes must match",
         )?;
+        // Line bases are masks and set indices are shifts.
+        require(
+            self.l1d.line_size.is_power_of_two(),
+            "line size must be a power of two",
+        )?;
         require(pow2_sets(&self.l1d), "L1 set count must be a power of two")?;
         require(pow2_sets(&self.l2), "L2 set count must be a power of two")?;
         require(
@@ -528,6 +533,12 @@ mod tests {
             ("prefetch_queue_depth", |c| c.prefetch_queue_depth = 0),
             ("icnt_bandwidth", |c| c.icnt_bandwidth = 0),
             ("dram_clock_mhz", |c| c.dram_clock_mhz = 0),
+            // Whole power-of-two set counts (32 and 64) would pass the
+            // set rules; the line size itself must be refused.
+            ("line_size 96", |c| {
+                (c.l1d.line_size, c.l2.line_size) = (96, 96);
+                (c.l1d.size_bytes, c.l2.size_bytes) = (12 * 1024, 48 * 1024);
+            }),
         ];
         for &(field, flip) in flips {
             let mut c = GpuConfig::fermi_gtx480();

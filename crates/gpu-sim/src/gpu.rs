@@ -207,8 +207,8 @@ impl Gpu {
                 )
             })
             .collect::<Vec<_>>();
-        // Pipe rings are sized from the producers' aggregate in-flight
-        // bounds so steady state never allocates (§9d): every SM's
+        // Pipe rings reserve the producers' aggregate in-flight bounds
+        // and allocate on use up to them (§9d): every SM's
         // demand misses are MSHR-bounded and its prefetches are bounded
         // by the in-flight cap, and in the worst case all of them target
         // one partition; replies to one SM are bounded by the same two
@@ -1224,7 +1224,7 @@ mod tests {
         assert!(report.dram_queues.high_water > 0);
         // Every ring on the memory path is sized from its producers'
         // in-flight bounds, so a run must never hit the growth valve.
-        assert_eq!(report.total().grows, 0, "steady state must not allocate");
+        assert_eq!(report.total().grows, 0, "a ring grew past its reserve");
     }
 
     #[test]

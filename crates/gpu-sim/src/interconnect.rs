@@ -8,7 +8,7 @@
 //!
 //! Internally a network is a vector of per-destination [`Link`]s (from
 //! the unified port layer, [`crate::port`]) with no shared mutable state
-//! between links: each link carries its own preallocated pipe ring,
+//! between links: each link carries its own pipe ring,
 //! bounded eject [`crate::port::Port`], stall counter and wake bound, so
 //! the cycle loop in [`crate::gpu`] steps only the links that can act.
 
@@ -53,10 +53,10 @@ pub struct Network<T> {
 }
 
 impl<T> Network<T> {
-    /// Network with `destinations` endpoints. `pipe_capacity` preallocates
-    /// each link's in-flight ring (sized from the producers' aggregate
-    /// in-flight bound so steady state never allocates; the ring grows —
-    /// and counts it — if the bound is exceeded).
+    /// Network with `destinations` endpoints. `pipe_capacity` is the
+    /// reserve of each link's in-flight ring (the producers' aggregate
+    /// in-flight bound; the ring allocates on use up to it and grows —
+    /// and counts it — only if the bound is exceeded).
     pub fn new(
         destinations: usize,
         latency: u32,

@@ -78,7 +78,7 @@ pub mod prelude {
         null_factory, DemandObservation, NullPrefetcher, PrefetchRequest, Prefetcher,
         PrefetcherFactory,
     };
-    pub use crate::sched::{make_scheduler, TwoLevelScheduler, WarpScheduler};
+    pub use crate::sched::{make_scheduler, Scheduler, TwoLevelScheduler, WarpScheduler};
     pub use crate::stats::{AdaptReport, KernelStats, Stats};
     pub use crate::tenant::{Partitioning, TenantState};
     pub use crate::types::{

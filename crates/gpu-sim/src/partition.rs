@@ -7,7 +7,7 @@
 //! write-evict / no-allocate policy.
 //!
 //! Every queue in the partition is a [`Port`] from the unified port
-//! layer, preallocated at construction from its architectural bound:
+//! layer, reserved at construction for its architectural bound:
 //! the input classes from the interconnect ejection depth, the hit pipe
 //! from the L2 hit latency (≤ one hit enqueued per cycle, each resident
 //! `hit_latency` cycles), and the reply queues from the MSHR capacity
@@ -107,8 +107,8 @@ pub struct MemoryPartition {
 }
 
 impl MemoryPartition {
-    /// Build partition `id` per `cfg`, preallocating every queue from
-    /// its architectural bound (see module docs for the formulas).
+    /// Build partition `id` per `cfg`, reserving every queue for its
+    /// architectural bound (see module docs for the formulas).
     pub fn new(id: usize, cfg: &GpuConfig) -> Self {
         let reply_bound = cfg.l2.mshr_entries as usize * cfg.l2.mshr_merge as usize
             + cfg.l2.hit_latency as usize

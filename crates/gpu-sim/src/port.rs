@@ -1,15 +1,19 @@
-//! The unified memory-path port layer: preallocated ring buffers with a
+//! The unified memory-path port layer: bounded ring buffers with a
 //! single credit-based backpressure protocol.
 //!
 //! Every queue on the SM → L1 → interconnect → L2 → DRAM round trip is
 //! built from three types layered on one another:
 //!
-//! * [`Ring`] — a preallocated power-of-two circular buffer. The steady
-//!   state never allocates: capacity is computed from MSHR and queue
-//!   bounds at construction, and the rare overflow (store streams,
-//!   sustained DRAM saturation — paths with no architectural bound)
-//!   doubles the buffer once and counts it in [`Ring::grows`], so sizing
-//!   is observable instead of guessed.
+//! * [`Ring`] — a power-of-two circular buffer that *reserves* the
+//!   architectural bound on its occupancy (computed from MSHR and queue
+//!   bounds at construction) but allocates on use: at most 16 slots up
+//!   front, doubling up to the reserve as occupancy first reaches each
+//!   size. Most rings of a run never come near their bound, so a machine
+//!   starts with kilobytes of slots instead of megabytes, and a ring that
+//!   has reached its high-water mark never allocates again. The rare
+//!   overflow past the reserve (store streams, sustained DRAM saturation
+//!   — paths with no architectural bound) doubles the buffer and counts
+//!   it in [`Ring::grows`], so sizing is observable instead of guessed.
 //! * [`Port`] — a `Ring` plus an explicit credit count. Producers ask
 //!   [`Port::credits`] or call [`Port::try_push`]; a refused push is a
 //!   *credit stall*, counted per port. One protocol replaces the five
@@ -34,7 +38,7 @@ pub struct PortSnapshot {
     pub high_water: usize,
     /// Pushes refused (or producer cycles stalled) for lack of credits.
     pub credit_stalls: u64,
-    /// Times the backing ring outgrew its preallocated capacity.
+    /// Times the backing ring grew past its reserved bound.
     pub grows: u64,
 }
 
@@ -49,31 +53,47 @@ impl PortSnapshot {
     }
 }
 
-/// A preallocated circular buffer with power-of-two capacity.
+/// Slots a [`Ring`] allocates at construction when its reserve is larger.
+const RING_INITIAL_SLOTS: usize = 16;
+
+/// A circular buffer with power-of-two storage that reserves a bound and
+/// allocates on use.
 ///
 /// Indices are masked, never compared against a wrap bound, so push/pop
-/// are branch-light; growth (doubling) exists only as a safety valve for
-/// queues with no architectural bound and is counted.
+/// are branch-light. The storage starts at `min(reserve, 16)` slots and
+/// doubles whenever a push finds it full: up to the reserve silently
+/// (allocation on use), past it as a counted safety valve for queues
+/// with no architectural bound. Once a ring has reached its high-water
+/// mark it never allocates again.
 #[derive(Debug)]
 pub struct Ring<T> {
     buf: Box<[Option<T>]>,
     head: usize,
     len: usize,
+    /// Architectural bound, a power of two; growth up to it is not
+    /// counted.
+    reserve: usize,
     high_water: usize,
     grows: u64,
 }
 
 impl<T> Ring<T> {
-    /// Ring able to hold at least `cap` elements without reallocating.
+    /// Ring reserving room for at least `cap` elements: pushing up to
+    /// `cap` (rounded up to a power of two) never counts a grow.
     pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(2).next_power_of_two();
+        let reserve = cap.max(2).next_power_of_two();
         Ring {
-            buf: (0..cap).map(|_| None).collect(),
+            buf: Self::slots(reserve.min(RING_INITIAL_SLOTS)),
             head: 0,
             len: 0,
+            reserve,
             high_water: 0,
             grows: 0,
         }
+    }
+
+    fn slots(n: usize) -> Box<[Option<T>]> {
+        (0..n).map(|_| None).collect()
     }
 
     /// Elements currently queued.
@@ -88,7 +108,7 @@ impl<T> Ring<T> {
         self.len == 0
     }
 
-    /// Preallocated slot count (power of two).
+    /// Slots allocated so far (a power of two).
     #[inline]
     pub fn capacity(&self) -> usize {
         self.buf.len()
@@ -100,7 +120,7 @@ impl<T> Ring<T> {
         self.high_water
     }
 
-    /// Times the ring outgrew its preallocated capacity.
+    /// Times the ring grew past its reserved bound.
     #[inline]
     pub fn grows(&self) -> u64 {
         self.grows
@@ -134,7 +154,8 @@ impl<T> Ring<T> {
         unsafe { self.buf.get_unchecked(idx) }
     }
 
-    /// Append to the tail, doubling the buffer if full (counted).
+    /// Append to the tail, doubling the buffer if full (counted once
+    /// the buffer is at or past the reserve).
     pub fn push_back(&mut self, v: T) {
         if self.len == self.buf.len() {
             self.grow();
@@ -215,13 +236,15 @@ impl<T> Ring<T> {
 
     #[cold]
     fn grow(&mut self) {
-        let mut bigger: Box<[Option<T>]> = (0..self.buf.len() * 2).map(|_| None).collect();
+        if self.buf.len() >= self.reserve {
+            self.grows += 1;
+        }
+        let mut bigger = Self::slots(self.buf.len() * 2);
         for (i, slot) in bigger.iter_mut().take(self.len).enumerate() {
             *slot = self.buf[(self.head + i) & (self.buf.len() - 1)].take();
         }
         self.buf = bigger;
         self.head = 0;
-        self.grows += 1;
     }
 }
 
@@ -251,11 +274,11 @@ impl<T> ExactSizeIterator for RingIter<'_, T> {}
 /// A bounded queue with explicit credit-based backpressure.
 ///
 /// `capacity` is the credit limit — the architectural depth of the
-/// queue. [`Port::try_push`] consumes a credit or fails (counted);
-/// [`Port::push`] is for queues whose producers are bounded elsewhere
-/// (it rides the ring's growth valve past the credit limit rather than
-/// dropping, so a mis-estimated bound shows up in the report, not as a
-/// deadlock or a silent drop).
+/// queue, which its ring reserves. [`Port::try_push`] consumes a credit
+/// or fails (counted); [`Port::push`] is for queues whose producers are
+/// bounded elsewhere (it rides the ring's growth valve past the credit
+/// limit rather than dropping, so a mis-estimated bound shows up in the
+/// report, not as a deadlock or a silent drop).
 #[derive(Debug)]
 pub struct Port<T> {
     ring: Ring<T>,
@@ -264,7 +287,8 @@ pub struct Port<T> {
 }
 
 impl<T> Port<T> {
-    /// Port with `capacity` credits, preallocated to hold all of them.
+    /// Port with `capacity` credits, its ring reserved to hold all of
+    /// them.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a port needs at least one credit");
         Port {
@@ -415,7 +439,7 @@ pub struct Link<T> {
 }
 
 impl<T> Link<T> {
-    /// Link with `eject_depth` eject credits and a pipe preallocated for
+    /// Link with `eject_depth` eject credits and a pipe reserved for
     /// `pipe_capacity` in-flight messages.
     pub fn new(eject_depth: usize, pipe_capacity: usize) -> Self {
         Link {
@@ -547,7 +571,7 @@ mod tests {
             }
         }
         assert!(r.is_empty());
-        assert_eq!(r.grows(), 0, "never exceeded preallocation");
+        assert_eq!(r.grows(), 0, "never exceeded the reserve");
         assert_eq!(r.high_water(), 3);
     }
 
@@ -562,6 +586,61 @@ mod tests {
         for i in 0..10 {
             assert_eq!(r.pop_front(), Some(i));
         }
+    }
+
+    #[test]
+    fn ring_allocates_on_use_and_counts_only_growth_past_its_reserve() {
+        for n in [2, 16, 64, 1024] {
+            let mut r: Ring<usize> = Ring::with_capacity(n);
+            assert!(
+                r.capacity() <= RING_INITIAL_SLOTS,
+                "reserve {n}: allocated up front"
+            );
+            for i in 0..n {
+                r.push_back(i);
+            }
+            assert_eq!(r.grows(), 0, "reserve {n}: grew within the bound");
+            assert_eq!(r.capacity(), n);
+            r.push_back(n);
+            assert_eq!(r.grows(), 1, "reserve {n}: one element past the bound");
+            assert_eq!(
+                r.iter().copied().collect::<Vec<_>>(),
+                (0..=n).collect::<Vec<_>>()
+            );
+        }
+        // A reserve that is not a power of two rounds up.
+        let mut r: Ring<u32> = Ring::with_capacity(100);
+        for i in 0..128 {
+            r.push_back(i);
+        }
+        assert_eq!(r.grows(), 0);
+    }
+
+    #[test]
+    fn ring_growth_within_the_reserve_keeps_fifo_order_across_the_wrap() {
+        let mut r: Ring<u32> = Ring::with_capacity(256);
+        let mut next_in = 0;
+        let mut next_out = 0;
+        // Lap the initial storage before each growth step.
+        for target in [10, 20, 40, 100, 200] {
+            for _ in 0..7 {
+                r.push_back(next_in);
+                next_in += 1;
+                assert_eq!(r.pop_front(), Some(next_out));
+                next_out += 1;
+            }
+            while r.len() < target {
+                r.push_back(next_in);
+                next_in += 1;
+            }
+        }
+        while let Some(v) = r.pop_front() {
+            assert_eq!(v, next_out);
+            next_out += 1;
+        }
+        assert_eq!(next_out, next_in);
+        assert_eq!(r.grows(), 0);
+        assert_eq!(r.high_water(), 200);
     }
 
     #[test]

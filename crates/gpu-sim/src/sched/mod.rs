@@ -6,6 +6,10 @@
 //! together with the two policy extensions the paper builds on it:
 //! leading-warp prioritization and eager prefetch wake-up (PAS, §V-A) and
 //! ORCH-style group-interleaved promotion (Jog et al., ISCA'13).
+//!
+//! An SM holds its policy as a [`Scheduler`] enum, so the per-cycle
+//! `pick` is a `match` over three concrete types and the SM's issue
+//! predicate inlines into each policy's scan.
 
 pub mod slotlist;
 mod two_level;
@@ -22,6 +26,10 @@ use crate::types::{Cycle, WarpSlot};
 /// `pick` one issuable warp per issue slot. `can_issue` reflects
 /// microarchitectural readiness (not busy, not at a barrier, LD/ST queue
 /// space for memory ops).
+///
+/// `pick` is generic over the predicate, so the trait is implemented by
+/// concrete types (and the [`Scheduler`] enum over them), not used as a
+/// trait object.
 pub trait WarpScheduler: Send {
     /// Display name.
     fn name(&self) -> &'static str;
@@ -48,8 +56,7 @@ pub trait WarpScheduler: Send {
     /// Choose one warp to issue at `now`. A pick that finds no issuable
     /// warp must leave the scheduler unchanged: the cycle loop parks an
     /// SM whose step changes nothing.
-    fn pick(&mut self, now: Cycle, can_issue: &mut dyn FnMut(WarpSlot) -> bool)
-        -> Option<WarpSlot>;
+    fn pick(&mut self, now: Cycle, can_issue: impl FnMut(WarpSlot) -> bool) -> Option<WarpSlot>;
 }
 
 /// Loose round-robin over all resident warps.
@@ -104,7 +111,7 @@ impl WarpScheduler for LrrScheduler {
     fn pick(
         &mut self,
         _now: Cycle,
-        can_issue: &mut dyn FnMut(WarpSlot) -> bool,
+        mut can_issue: impl FnMut(WarpSlot) -> bool,
     ) -> Option<WarpSlot> {
         let head = self.warps.front()?;
         let start = match self.cursor {
@@ -193,7 +200,7 @@ impl WarpScheduler for GtoScheduler {
     fn pick(
         &mut self,
         _now: Cycle,
-        can_issue: &mut dyn FnMut(WarpSlot) -> bool,
+        mut can_issue: impl FnMut(WarpSlot) -> bool,
     ) -> Option<WarpSlot> {
         // Leading warps that have not yet computed their CTA's base
         // address jump the greedy order (§V-A).
@@ -217,22 +224,87 @@ impl WarpScheduler for GtoScheduler {
     }
 }
 
+/// The warp scheduler of one SM: one of the three policy families.
+#[derive(Debug)]
+pub enum Scheduler {
+    /// Loose round-robin.
+    Lrr(LrrScheduler),
+    /// Greedy-then-oldest, with or without PAS leading-warp priority.
+    Gto(GtoScheduler),
+    /// Two-level: TLV, PA-TLV (with or without eager wake-up), ORCH-TLV.
+    TwoLevel(TwoLevelScheduler),
+}
+
+/// Forward a call to the policy inside a [`Scheduler`].
+macro_rules! dispatch {
+    ($sched:expr, $s:ident => $call:expr) => {
+        match $sched {
+            Scheduler::Lrr($s) => $call,
+            Scheduler::Gto($s) => $call,
+            Scheduler::TwoLevel($s) => $call,
+        }
+    };
+}
+
+impl Scheduler {
+    /// The warps [`WarpScheduler::pick`] can choose from until the next
+    /// scheduler event: the two-level ready queue, or `None` when every
+    /// resident warp is a candidate (LRR, GTO). Promotion into the ready
+    /// queue happens only in event handlers, never in `pick`.
+    pub fn ready_queue(&self) -> Option<&[WarpSlot]> {
+        match self {
+            Scheduler::TwoLevel(s) => Some(s.ready()),
+            Scheduler::Lrr(_) | Scheduler::Gto(_) => None,
+        }
+    }
+}
+
+impl WarpScheduler for Scheduler {
+    fn name(&self) -> &'static str {
+        dispatch!(self, s => s.name())
+    }
+
+    fn on_launch(&mut self, w: WarpSlot, leading: bool, group: u8) {
+        dispatch!(self, s => s.on_launch(w, leading, group))
+    }
+
+    fn on_finish(&mut self, w: WarpSlot) {
+        dispatch!(self, s => s.on_finish(w))
+    }
+
+    fn on_long_latency(&mut self, w: WarpSlot) {
+        dispatch!(self, s => s.on_long_latency(w))
+    }
+
+    fn on_ready_again(&mut self, w: WarpSlot) {
+        dispatch!(self, s => s.on_ready_again(w))
+    }
+
+    fn on_prefetch_fill(&mut self, w: WarpSlot) -> bool {
+        dispatch!(self, s => s.on_prefetch_fill(w))
+    }
+
+    fn on_leading_done(&mut self, w: WarpSlot) {
+        dispatch!(self, s => s.on_leading_done(w))
+    }
+
+    #[inline]
+    fn pick(&mut self, now: Cycle, can_issue: impl FnMut(WarpSlot) -> bool) -> Option<WarpSlot> {
+        dispatch!(self, s => s.pick(now, can_issue))
+    }
+}
+
 /// Build the scheduler selected by `cfg`.
-pub fn make_scheduler(cfg: &GpuConfig) -> Box<dyn WarpScheduler> {
+pub fn make_scheduler(cfg: &GpuConfig) -> Scheduler {
+    let q = cfg.ready_queue_size;
     match cfg.scheduler {
-        SchedulerKind::Lrr => Box::new(LrrScheduler::default()),
-        SchedulerKind::Gto => Box::new(GtoScheduler::new()),
-        SchedulerKind::PasGto => Box::new(GtoScheduler::with_leading_priority()),
-        SchedulerKind::TwoLevel => {
-            Box::new(TwoLevelScheduler::new(cfg.ready_queue_size, false, false))
-        }
-        SchedulerKind::Pas => Box::new(TwoLevelScheduler::new(cfg.ready_queue_size, true, false)),
-        SchedulerKind::PasNoWakeup => {
-            Box::new(TwoLevelScheduler::without_wakeup(cfg.ready_queue_size))
-        }
-        SchedulerKind::OrchGrouped => {
-            Box::new(TwoLevelScheduler::new(cfg.ready_queue_size, false, true))
-        }
+        SchedulerKind::Lrr => Scheduler::Lrr(LrrScheduler::default()),
+        SchedulerKind::Gto => Scheduler::Gto(GtoScheduler::new()),
+        SchedulerKind::PasGto => Scheduler::Gto(GtoScheduler::with_leading_priority()),
+        SchedulerKind::TwoLevel => Scheduler::TwoLevel(TwoLevelScheduler::new(q, false, false)),
+        SchedulerKind::Pas => Scheduler::TwoLevel(TwoLevelScheduler::new(q, true, false)),
+        SchedulerKind::PasNoWakeup => Scheduler::TwoLevel(TwoLevelScheduler::without_wakeup(q)),
+        SchedulerKind::OrchGrouped => Scheduler::TwoLevel(TwoLevelScheduler::new(q, false, true)),
     }
 }
 

@@ -38,16 +38,29 @@ struct WarpInfo {
 
 /// Two-level scheduler; `pas` and `grouped` select the policy extensions.
 ///
-/// Both queues are intrusive [`SlotList`]s: demote, wake-up, and finish
-/// events mutate them in O(1) through per-warp index arrays (the seed's
-/// `VecDeque`s paid an O(n) `position`/`retain`/`contains` scan per
-/// event), while FIFO iteration order — and therefore the PAS
-/// leading-segment and promotion semantics — is preserved exactly.
+/// The pending queue, which holds up to every resident warp, is an
+/// intrusive [`SlotList`]: demote, wake-up, and finish events mutate it
+/// in O(1) through per-warp index arrays. The ready queue holds at most
+/// `capacity` warps (8 in Table III) and is a short array, cheap to
+/// edit in place. Both keep exact FIFO order — and therefore the PAS
+/// leading-segment and promotion semantics. A count of promotable
+/// pending warps lets promotion return at once when there are none,
+/// which is the common case on memory-bound kernels: every pending
+/// warp is blocked on its loads.
 #[derive(Debug)]
 pub struct TwoLevelScheduler {
     capacity: usize,
-    ready: SlotList,
+    /// At most `capacity` warps in priority order. A short array rather
+    /// than a [`SlotList`]: `pick` scans it on every issue slot, and a
+    /// contiguous scan issues its loads in parallel where a linked walk
+    /// chains them.
+    ready: Vec<WarpSlot>,
     pending: SlotList,
+    /// Pending warps that are eligible (not blocked on memory). Every
+    /// pending warp is resident and outside the ready queue, so this is
+    /// the number of warps [`Self::promotion_candidate`] can return.
+    /// Maintained by the `pending_*` and `set_eligible` helpers.
+    promotable: usize,
     info: Vec<WarpInfo>,
     pas: bool,
     grouped: bool,
@@ -63,8 +76,9 @@ impl TwoLevelScheduler {
         assert!(capacity > 0);
         TwoLevelScheduler {
             capacity,
-            ready: SlotList::new(),
+            ready: Vec::with_capacity(capacity),
             pending: SlotList::new(),
+            promotable: 0,
             info: Vec::new(),
             pas,
             grouped,
@@ -99,19 +113,53 @@ impl TwoLevelScheduler {
         self.info[w].in_ready = true;
         if self.pas && leading {
             // After the last leading warp, before the first trailing one.
-            let pos = self.ready.iter().find(|&x| !self.info[x].leading);
-            match pos {
-                Some(anchor) => self.ready.insert_before(anchor, w),
-                None => self.ready.push_back(w),
-            }
+            let pos = self.ready.iter().position(|&x| !self.info[x].leading);
+            self.ready.insert(pos.unwrap_or(self.ready.len()), w);
         } else {
-            self.ready.push_back(w);
+            self.ready.push(w);
         }
     }
 
     fn ready_remove(&mut self, w: WarpSlot) {
-        self.ready.remove(w);
+        if let Some(i) = self.ready.iter().position(|&x| x == w) {
+            self.ready.remove(i);
+        }
         self.info[w].in_ready = false;
+    }
+
+    fn pending_push_back(&mut self, w: WarpSlot) {
+        self.pending.push_back(w);
+        self.promotable += self.info[w].eligible as usize;
+    }
+
+    fn pending_push_front(&mut self, w: WarpSlot) {
+        self.pending.push_front(w);
+        self.promotable += self.info[w].eligible as usize;
+    }
+
+    fn pending_remove(&mut self, w: WarpSlot) {
+        if self.pending.remove(w) {
+            self.promotable -= self.info[w].eligible as usize;
+        }
+    }
+
+    fn set_eligible(&mut self, w: WarpSlot, eligible: bool) {
+        if self.info[w].eligible != eligible && self.pending.contains(w) {
+            if eligible {
+                self.promotable += 1;
+            } else {
+                self.promotable -= 1;
+            }
+        }
+        self.info[w].eligible = eligible;
+    }
+
+    /// [`Self::promotable`] recounted from the pending queue.
+    fn promotable_recount(&self) -> usize {
+        self.pending
+            .iter()
+            .filter(|&w| self.info[w].resident && self.info[w].eligible && !self.info[w].in_ready)
+            .count()
     }
 
     /// Choose the next pending warp to promote, honouring policy order.
@@ -143,11 +191,12 @@ impl TwoLevelScheduler {
 
     /// Fill free ready-queue slots from the pending queue.
     fn promote(&mut self) {
-        while self.ready.len() < self.capacity {
+        debug_assert_eq!(self.promotable, self.promotable_recount());
+        while self.promotable > 0 && self.ready.len() < self.capacity {
             let Some(w) = self.promotion_candidate() else {
                 break;
             };
-            self.pending.remove(w);
+            self.pending_remove(w);
             self.last_group = self.info[w].group;
             self.ready_insert(w);
         }
@@ -159,14 +208,16 @@ impl TwoLevelScheduler {
         // Scan from the back: prefer the newest trailing warp.
         let victim = self
             .ready
-            .iter_rev()
+            .iter()
+            .rev()
+            .copied()
             .find(|&x| !self.info[x].leading)
-            .or_else(|| self.ready.back());
+            .or_else(|| self.ready.last().copied());
         let Some(v) = victim else { return false };
         self.ready_remove(v);
         // The displaced warp is not memory-blocked: keep it eligible.
         self.info[v].eligible = true;
-        self.pending.push_front(v);
+        self.pending_push_front(v);
         true
     }
 
@@ -176,11 +227,11 @@ impl TwoLevelScheduler {
     /// counter-productive (it breaks the pipeline the prefetch was
     /// trying to feed), so the wake-up is gentle when the queue is full.
     fn force_into_ready(&mut self, w: WarpSlot) -> bool {
-        self.pending.remove(w);
+        self.pending_remove(w);
         if self.ready.len() < self.capacity {
             self.ready_insert(w);
         } else {
-            self.pending.push_front(w);
+            self.pending_push_front(w);
         }
         true
     }
@@ -190,9 +241,15 @@ impl TwoLevelScheduler {
         self.ready.len()
     }
 
+    /// The ready queue: the only warps [`WarpScheduler::pick`] chooses
+    /// from until the next scheduler event.
+    pub fn ready(&self) -> &[WarpSlot] {
+        &self.ready
+    }
+
     /// Ready-queue contents in priority order (test/diagnostics).
     pub fn ready_order(&self) -> Vec<WarpSlot> {
-        self.ready.iter().collect()
+        self.ready.clone()
     }
 
     /// Pending-queue contents in FIFO order (test/diagnostics).
@@ -227,25 +284,25 @@ impl WarpScheduler for TwoLevelScheduler {
             if self.displace_one() {
                 self.ready_insert(w);
             } else {
-                self.pending.push_back(w);
+                self.pending_push_back(w);
             }
         } else {
-            self.pending.push_back(w);
+            self.pending_push_back(w);
         }
     }
 
     fn on_finish(&mut self, w: WarpSlot) {
         self.ready_remove(w);
-        self.pending.remove(w);
+        self.pending_remove(w);
         self.info[w] = WarpInfo::default();
         self.promote();
     }
 
     fn on_long_latency(&mut self, w: WarpSlot) {
         self.ready_remove(w);
-        self.info[w].eligible = false;
+        self.set_eligible(w, false);
         if !self.pending.contains(w) {
-            self.pending.push_back(w);
+            self.pending_push_back(w);
         }
         self.promote();
     }
@@ -254,7 +311,7 @@ impl WarpScheduler for TwoLevelScheduler {
         if !self.info[w].resident {
             return;
         }
-        self.info[w].eligible = true;
+        self.set_eligible(w, true);
         if self.info[w].wake_armed && !self.info[w].in_ready {
             // A prefetch landed while this warp was blocked: wake it the
             // moment it is schedulable so the data isn't evicted first.
@@ -299,11 +356,11 @@ impl WarpScheduler for TwoLevelScheduler {
     fn pick(
         &mut self,
         _now: Cycle,
-        can_issue: &mut dyn FnMut(WarpSlot) -> bool,
+        mut can_issue: impl FnMut(WarpSlot) -> bool,
     ) -> Option<WarpSlot> {
         // Oldest-first within the (priority-ordered) ready queue.
         // Promotion happens only in event handlers, never here.
-        self.ready.iter().find(|&w| can_issue(w))
+        self.ready.iter().copied().find(|&w| can_issue(w))
     }
 }
 
@@ -492,6 +549,7 @@ mod tests {
                     let _ = s.on_prefetch_fill(w);
                 }
             }
+            assert_eq!(s.promotable, s.promotable_recount(), "round {round}");
             // Invariant: each resident warp appears exactly once across
             // the two queues.
             let mut count = vec![0usize; 8];

@@ -17,7 +17,7 @@ use crate::linemap::LineMap;
 use crate::mshr::{MshrFile, MshrOutcome, PrefetchTag, Waiter};
 use crate::port::{Port, PortSnapshot};
 use crate::prefetch::{DemandObservation, PrefetchRequest, Prefetcher};
-use crate::sched::WarpScheduler;
+use crate::sched::{Scheduler, WarpScheduler};
 use crate::stats::{KernelStats, Stats};
 use crate::types::{AccessKind, Addr, CtaCoord, Cycle, KernelId, SmId, WarpSlot, MAX_TENANTS};
 use crate::warp::{LoopFrame, WarpCtx, WarpState};
@@ -64,6 +64,9 @@ struct PfInflight {
 #[derive(Debug)]
 struct MemInst {
     warp: WarpSlot,
+    /// The issuing warp's kernel context, kept here so the LD/ST unit
+    /// need not read the warp context back.
+    kernel: KernelId,
     is_store: bool,
     lines: Vec<Addr>,
     next: usize,
@@ -78,7 +81,7 @@ pub struct Sm {
     cta_slots: Vec<Option<CtaState>>,
     warps_per_cta: u32,
     resident_cta_cap: usize,
-    scheduler: Box<dyn WarpScheduler>,
+    scheduler: Scheduler,
     prefetcher: Box<dyn Prefetcher>,
     l1d: Cache,
     mshr: MshrFile,
@@ -143,7 +146,7 @@ impl Sm {
         id: SmId,
         cfg: &GpuConfig,
         kernel: &Kernel,
-        scheduler: Box<dyn WarpScheduler>,
+        scheduler: Scheduler,
         prefetcher: Box<dyn Prefetcher>,
     ) -> Self {
         let wpc = kernel.warps_per_cta(cfg.simt_width);
@@ -394,11 +397,23 @@ impl Sm {
             .peek()
             .map(|&(t, _)| t)
             .filter(|&t| t > now);
-        // Execution-latency timers on Ready warps (over-approximation:
-        // a wake may still find nothing issuable, which is harmless),
-        // read from the dense `issuable_at` mirror (`Cycle::MAX` for
-        // warps that are not Ready).
-        let wake = self.issuable_at.iter().copied().filter(|&t| t > now).min();
+        // Execution-latency timers of the warps `pick` can choose before
+        // the next scheduler event (over-approximation: a wake may still
+        // find nothing issuable, which is harmless), read from the dense
+        // `issuable_at` mirror (`Cycle::MAX` for warps that are not
+        // Ready). Under the two-level policies that is the ready queue:
+        // a pending warp is promoted only by an event handler, and every
+        // event either steps the SM (a launch, a fill, a matured hit) or
+        // comes from a step that progressed, so its timer cannot matter
+        // before the SM is visited again.
+        let wake = match self.scheduler.ready_queue() {
+            Some(ready) => ready
+                .iter()
+                .map(|&w| self.issuable_at[w])
+                .filter(|&t| t > now)
+                .min(),
+            None => self.issuable_at.iter().copied().filter(|&t| t > now).min(),
+        };
         // The queued prefetch head ages out when `now' - t` first
         // exceeds `prefetch_max_age`.
         let pf_age = self
@@ -478,7 +493,7 @@ impl Sm {
         let line = inst.lines[inst.next];
         let warp = inst.warp;
         let is_store = inst.is_store;
-        let kid = self.warps[warp].kernel as usize;
+        let kid = inst.kernel as usize;
 
         if is_store {
             if self.inject_q.credits() == 0 {
@@ -695,11 +710,16 @@ impl Sm {
         if self.active_warps == 0 {
             return false;
         }
+        // Structural hazard: memory ops need LD/ST queue space, and a
+        // throttled tenant's memory ops are duty-cycle gated. With room
+        // in the queue and no tenant throttled (the common case) the
+        // predicate never reads the warp context or the op table.
         let mem_q_open = self.mem_q.credits() > 0;
+        let mem_gated = !mem_q_open || self.throttle != [0; MAX_TENANTS];
         let warps = &self.warps;
         let issuable_at = &self.issuable_at;
         let throttle = &self.throttle;
-        let mut can_issue = |w: WarpSlot| {
+        let can_issue = |w: WarpSlot| {
             debug_assert_eq!(
                 issuable_at[w],
                 if warps[w].state == WarpState::Ready {
@@ -712,25 +732,17 @@ impl Sm {
             if issuable_at[w] > now {
                 return false;
             }
-            // Structural hazard: memory ops need LD/ST queue space, and
-            // a throttled tenant's memory ops are duty-cycle gated.
-            // `mem_q_open && untrottled` first: in the common case the
-            // op table is never touched.
-            let kid = warps[w].kernel as usize;
-            if (!mem_q_open || throttle[kid] > 0)
-                && kernels[kid].program.op_is_mem(warps[w].pc)
-            {
-                if !mem_q_open {
-                    return false;
-                }
-                let level = throttle[kid];
-                if level > 0 && now & ((1u64 << level) - 1) != 0 {
-                    return false;
-                }
+            if !mem_gated {
+                return true;
             }
-            true
+            let kid = warps[w].kernel as usize;
+            if !kernels[kid].program.op_is_mem(warps[w].pc) {
+                return true;
+            }
+            let level = throttle[kid];
+            mem_q_open && (level == 0 || now & ((1u64 << level) - 1) == 0)
         };
-        let Some(w) = self.scheduler.pick(now, &mut can_issue) else {
+        let Some(w) = self.scheduler.pick(now, can_issue) else {
             self.stats.stall_cycles += 1;
             return false;
         };
@@ -798,6 +810,7 @@ impl Sm {
                 let lines = self.take_lines();
                 self.mem_q.push(MemInst {
                     warp: w,
+                    kernel: kid,
                     is_store: false,
                     lines,
                     next: 0,
@@ -846,6 +859,7 @@ impl Sm {
                 let lines = self.take_lines();
                 self.mem_q.push(MemInst {
                     warp: w,
+                    kernel: kid,
                     is_store: true,
                     lines,
                     next: 0,

@@ -180,6 +180,9 @@ impl<P: Prefetcher> Prefetcher for TracingPrefetcher<P> {
 }
 
 /// Scheduler decorator recording issue picks and queue transitions.
+///
+/// It wraps a policy driven directly (an SM holds the
+/// [`crate::sched::Scheduler`] enum, which has no traced variant).
 pub struct TracingScheduler<S> {
     inner: S,
     buf: TraceBuffer,
@@ -223,11 +226,7 @@ impl<S: WarpScheduler> WarpScheduler for TracingScheduler<S> {
         self.inner.on_leading_done(w);
     }
 
-    fn pick(
-        &mut self,
-        now: Cycle,
-        can_issue: &mut dyn FnMut(WarpSlot) -> bool,
-    ) -> Option<WarpSlot> {
+    fn pick(&mut self, now: Cycle, can_issue: impl FnMut(WarpSlot) -> bool) -> Option<WarpSlot> {
         let picked = self.inner.pick(now, can_issue);
         if let Some(w) = picked {
             self.buf.push(Event::Issue {

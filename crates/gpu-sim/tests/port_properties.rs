@@ -1,4 +1,4 @@
-//! Property tests for the unified port layer: the preallocated ring and
+//! Property tests for the unified port layer: the ring and
 //! the credit-counted [`Port`] are checked against a `VecDeque` reference
 //! model under arbitrary operation sequences, including wrap-around,
 //! ordered removal, and full/empty boundary behaviour.
@@ -103,7 +103,7 @@ proptest! {
 
     /// Full/empty boundaries: filling to capacity zeroes credits and
     /// refuses further credit-checked pushes; the unconditional growth
-    /// valve still accepts (and counts a grow once past the preallocated
+    /// valve still accepts (and counts a grow once past the reserved
     /// power of two); drain restores every credit and empties the port.
     #[test]
     fn port_full_empty_boundaries(capacity in 1usize..12, overflow in 1usize..8) {

@@ -1,13 +1,14 @@
 //! Randomized naive-vs-wake differential test.
 //!
 //! Each case draws a small machine from its seed — SM, partition and
-//! channel counts, interconnect latency and queue depth, L1 MSHRs and
-//! prefetch queue depth — and runs a drawn small-scale workload under a
+//! channel counts, interconnect latency and queue depth, L1 MSHRs,
+//! prefetch queue depth and the two-level ready-queue size — and runs a
+//! drawn small-scale workload under a
 //! drawn engine, once with naive stepping and once wake-driven. Every
 //! third case is instead a two-tenant co-run with interference
 //! throttling on, cycling through the three partitioning policies. Both
 //! modes must agree on `Stats`, per-tenant `KernelStats` and the link
-//! report, and no ring may outgrow its preallocated capacity. A failure
+//! report, and no ring may grow past its reserved bound. A failure
 //! names the seed that reproduces it.
 
 use caps_gpu_sim::config::GpuConfig;
@@ -57,6 +58,9 @@ fn draw_config(rng: &mut Rng) -> GpuConfig {
     cfg.icnt_queue_depth = rng.range(1, 8) as usize;
     cfg.l1d.mshr_entries = rng.pick(&[16, 32, 64]);
     cfg.prefetch_queue_depth = rng.pick(&[4, 16, 64]);
+    // A parked SM's timer scan covers only the two-level ready queue, so
+    // its size decides which warps wake the SM.
+    cfg.ready_queue_size = rng.pick(&[1, 2, 4, 8]);
     cfg
 }
 

@@ -164,6 +164,12 @@ fn malformed_requests_get_error_replies_and_the_connection_survives() {
     let crowded = spec
         .clone()
         .co_resident(vec![Workload::Mrq; 4], Partitioning::Shared);
+    // Whole power-of-two set counts, but a 96 B line.
+    let mut odd_line = spec.clone();
+    odd_line.base_config.l1d.line_size = 96;
+    odd_line.base_config.l2.line_size = 96;
+    odd_line.base_config.l1d.size_bytes = 12 * 1024;
+    odd_line.base_config.l2.size_bytes = 48 * 1024;
     let mut narrow = spec;
     narrow.base_config.max_warps_per_sm = 2;
     narrow.base_config.max_ctas_per_sm = 2;
@@ -171,6 +177,7 @@ fn malformed_requests_get_error_replies_and_the_connection_survives() {
     for (spec, rule) in [
         (no_mshr, "MSHR entry"),
         (no_channel, "DRAM channel"),
+        (odd_line, "line size must be a power of two"),
         (crowded, "at most 3 partners"),
         (narrow, "max_warps_per_sm"),
     ] {

@@ -2,37 +2,46 @@
 //! demand-driven refill, shown as the launch timeline of a simulated
 //! run on a miniature machine (3 SMs × 2 CTA slots).
 
+use std::sync::{Arc, Mutex};
+
 use caps_gpu_sim::config::GpuConfig;
 use caps_gpu_sim::gpu::Gpu;
-use caps_gpu_sim::prefetch::{NullPrefetcher, Prefetcher};
-use caps_gpu_sim::trace::{Event, TraceBuffer, TracingPrefetcher};
+use caps_gpu_sim::prefetch::Prefetcher;
+use caps_gpu_sim::types::{CtaCoord, CtaSlot};
 use caps_metrics::Table;
 use caps_workloads::{Scale, Workload};
 
+/// The linear ids of the CTAs one SM launched, in launch order.
+type LaunchLog = Arc<Mutex<Vec<u32>>>;
+
+/// A prefetcher that issues nothing and logs its SM's CTA launches.
+struct LaunchLogger(LaunchLog);
+
+impl Prefetcher for LaunchLogger {
+    fn name(&self) -> &'static str {
+        "NONE"
+    }
+
+    fn on_cta_launch(&mut self, _slot: CtaSlot, cta: CtaCoord) {
+        self.0.lock().expect("launch log poisoned").push(cta.linear);
+    }
+}
+
 /// The linear ids of the CTAs each SM received, in launch order.
 pub fn compute() -> Vec<Vec<u32>> {
-    // One trace buffer per SM so launches can be attributed.
-    let bufs: Vec<TraceBuffer> = (0..3).map(|_| TraceBuffer::new(1 << 16)).collect();
-    let traced = bufs.clone();
-    let factory = move |sm: usize| -> Box<dyn Prefetcher> {
-        Box::new(TracingPrefetcher::new(NullPrefetcher, traced[sm].clone()))
-    };
+    // One log per SM so launches can be attributed.
+    let logs: Vec<LaunchLog> = (0..3).map(|_| LaunchLog::default()).collect();
+    let shared = logs.clone();
+    let factory =
+        move |sm: usize| -> Box<dyn Prefetcher> { Box::new(LaunchLogger(shared[sm].clone())) };
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 3;
     cfg.max_ctas_per_sm = 2;
     let kernel = Workload::Jc1.kernel(Scale::Small);
     let mut gpu = Gpu::new(cfg, kernel, &factory);
     let _ = gpu.run(5_000_000);
-    bufs.iter()
-        .map(|buf| {
-            buf.events()
-                .iter()
-                .filter_map(|e| match e {
-                    Event::CtaLaunch { cta, .. } => Some(cta.linear),
-                    _ => None,
-                })
-                .collect()
-        })
+    logs.iter()
+        .map(|log| log.lock().expect("launch log poisoned").clone())
         .collect()
 }
 

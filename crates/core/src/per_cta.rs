@@ -295,11 +295,6 @@ impl PerCtaTable {
     pub fn entries(&self) -> impl Iterator<Item = &PerCtaEntry> {
         self.entries.iter()
     }
-
-    /// Iterate live entries mutably.
-    pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut PerCtaEntry> {
-        self.entries.iter_mut()
-    }
 }
 
 impl PerCtaEntry {

@@ -49,7 +49,8 @@ impl SchedulerKind {
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u32,
-    /// Line size in bytes (128 B for Fermi).
+    /// Line size in bytes; [`GpuConfig::check`] requires Fermi's 128 B,
+    /// the line every prefetcher assumes.
     pub line_size: u32,
     /// Associativity (ways per set).
     pub assoc: u32,
@@ -158,10 +159,6 @@ pub struct GpuConfig {
     pub icnt_bandwidth: u32,
     /// Depth of each interconnect injection/ejection queue.
     pub icnt_queue_depth: usize,
-    /// Instructions an SM may issue per cycle (Fermi: dual issue; we
-    /// model 1 to keep the in-order pipeline simple — IPC is reported
-    /// normalized so only ratios matter).
-    pub issue_width: u32,
     /// LD/ST unit queue depth (pending coalesced line requests).
     pub ldst_queue_depth: usize,
     /// Maximum in-flight prefetch line requests per SM; requests beyond
@@ -210,7 +207,6 @@ impl GpuConfig {
             icnt_latency: 35,
             icnt_bandwidth: 1,
             icnt_queue_depth: 8,
-            issue_width: 1,
             ldst_queue_depth: 8,
             prefetch_queue_depth: 64,
             prefetch_issue_per_cycle: 1,
@@ -292,14 +288,12 @@ impl GpuConfig {
             self.max_warps_per_sm >= self.max_ctas_per_sm,
             "cannot host more CTAs than warps",
         )?;
+        // Every prefetcher works in 128-B lines (`CapConfig::line_size`
+        // and the INTRA/INTER/NLP/LAP constructors never see the
+        // config), so any other size misaligns their requests.
         require(
-            self.l1d.line_size == self.l2.line_size,
-            "L1/L2 line sizes must match",
-        )?;
-        // Line bases are masks and set indices are shifts.
-        require(
-            self.l1d.line_size.is_power_of_two(),
-            "line size must be a power of two",
+            self.l1d.line_size == 128 && self.l2.line_size == 128,
+            "line size must be 128 B",
         )?;
         require(pow2_sets(&self.l1d), "L1 set count must be a power of two")?;
         require(pow2_sets(&self.l2), "L2 set count must be a power of two")?;
@@ -413,7 +407,6 @@ impl Hashable for GpuConfig {
         d.write_u32(self.icnt_latency);
         d.write_u32(self.icnt_bandwidth);
         d.write_usize(self.icnt_queue_depth);
-        d.write_u32(self.issue_width);
         d.write_usize(self.ldst_queue_depth);
         d.write_usize(self.prefetch_queue_depth);
         d.write_u32(self.prefetch_issue_per_cycle);
@@ -539,6 +532,15 @@ mod tests {
                 (c.l1d.line_size, c.l2.line_size) = (96, 96);
                 (c.l1d.size_bytes, c.l2.size_bytes) = (12 * 1024, 48 * 1024);
             }),
+            // Powers of two, but not the 128 B every prefetcher assumes.
+            ("line_size 64", |c| {
+                (c.l1d.line_size, c.l2.line_size) = (64, 64)
+            }),
+            ("line_size 256", |c| {
+                (c.l1d.line_size, c.l2.line_size) = (256, 256);
+                (c.l1d.size_bytes, c.l2.size_bytes) = (32 * 1024, 128 * 1024);
+            }),
+            ("l2.line_size 256", |c| c.l2.line_size = 256),
         ];
         for &(field, flip) in flips {
             let mut c = GpuConfig::fermi_gtx480();

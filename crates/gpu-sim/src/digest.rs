@@ -85,12 +85,6 @@ impl Digest {
         self.write_bytes(&[tag]);
     }
 
-    /// Absorb a `bool`.
-    #[inline]
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_tag(v as u8);
-    }
-
     /// Absorb a `u32` (little-endian).
     #[inline]
     pub fn write_u32(&mut self, v: u32) {
@@ -113,12 +107,6 @@ impl Digest {
     #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
-    }
-
-    /// Absorb an `f64` by exact bit pattern.
-    #[inline]
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
     }
 
     /// Absorb a string, length-prefixed so concatenations cannot collide.

@@ -1,5 +1,15 @@
 //! Whole-GPU simulation loop: SMs, two interconnect networks, memory
-//! partitions, DRAM channels, and the CTA distributor.
+//! partitions, DRAM channels, and CTA dispatch.
+//!
+//! # CTA dispatch
+//!
+//! Every run launches its grids through one path: [`Gpu::run`],
+//! [`Gpu::run_launches`] and [`Gpu::run_app`] run one tenant, and
+//! [`Gpu::run_tenants`] up to [`MAX_TENANTS`]. The partitioning policy
+//! only says where each tenant may place CTAs (an SM range and a per-SM
+//! quota, see `TenantState::placement`); one round-robin initial fill
+//! and one demand-driven refill (§II-B, Fig. 3) serve every policy, and
+//! a CTA id is dispensed only to an SM with a free slot.
 //!
 //! # The wake-driven cycle loop
 //!
@@ -38,7 +48,6 @@
 //! differential suites compare against.
 
 use crate::config::GpuConfig;
-use crate::cta_scheduler::CtaDistributor;
 use crate::dram::{DramChannel, DramRequest};
 use crate::interconnect::{MemReply, MemRequest, Network};
 use crate::kernel::Kernel;
@@ -141,20 +150,20 @@ fn req_link_next(link: &Link<MemRequest>, part: &MemoryPartition, now: Cycle) ->
     }
 }
 
-/// A complete GPU bound to one or more co-resident kernel contexts.
+/// A complete GPU bound to one or more co-resident kernels.
 pub struct Gpu {
     cfg: GpuConfig,
-    /// Co-resident kernels; index is the tenant's [`KernelId`]. Legacy
-    /// single-kernel mode is the one-element case.
+    /// Bound kernels; index is the tenant's [`KernelId`]. A solo run
+    /// binds one.
     kernels: Vec<Kernel>,
-    /// Multi-tenant dispatch state; `None` in legacy single-kernel mode
-    /// (where [`Self::distributor`] drives the grid).
-    tenants: Option<TenantState>,
-    /// Next interference-monitor boundary; `Cycle::MAX` in legacy mode
-    /// so the per-cycle check costs one compare.
+    /// Dispatch state of the current launch, one context per bound
+    /// kernel.
+    tenants: TenantState,
+    /// Next interference-monitor boundary; `Cycle::MAX` unless two or
+    /// more tenants run, so the per-cycle check costs one compare.
     tenant_window_end: Cycle,
-    /// Sticky default for [`TenantState::throttling`] consumed by the
-    /// next [`Self::run_tenants`] (BASE co-run baselines turn it off).
+    /// Whether the interference monitor may throttle tenants (BASE
+    /// co-run baselines turn it off); see [`Self::set_tenant_throttling`].
     tenant_throttling: bool,
     sms: Vec<Sm>,
     req_net: Network<MemRequest>,
@@ -166,7 +175,6 @@ pub struct Gpu {
     pf_reply_net: Network<MemReply>,
     partitions: Vec<MemoryPartition>,
     channels: Vec<DramChannel>,
-    distributor: CtaDistributor,
     cycle: Cycle,
     /// DRAM completions of the current cycle, from every channel.
     dram_done: Vec<DramRequest>,
@@ -236,13 +244,12 @@ impl Gpu {
         let channels: Vec<DramChannel> = (0..cfg.num_dram_channels)
             .map(|_| DramChannel::new(&cfg))
             .collect();
-        let distributor = CtaDistributor::new(kernel.num_ctas());
         let num_sms = cfg.num_sms;
         let num_partitions = cfg.num_partitions;
         Gpu {
             cfg,
             kernels: vec![kernel],
-            tenants: None,
+            tenants: TenantState::new(&[], Partitioning::Exclusive),
             tenant_window_end: Cycle::MAX,
             tenant_throttling: true,
             sms,
@@ -252,7 +259,6 @@ impl Gpu {
             pf_reply_net,
             partitions,
             channels,
-            distributor,
             cycle: 0,
             dram_done: Vec::new(),
             completed: Vec::new(),
@@ -299,10 +305,7 @@ impl Gpu {
     pub fn run_launches(&mut self, launches: u32, max_cycles: Cycle) -> Stats {
         assert!(launches > 0);
         for _ in 0..launches {
-            self.distributor = CtaDistributor::new(self.kernels[0].num_ctas());
-            self.wake_all();
-            self.initial_fill();
-            self.advance_until_done(max_cycles);
+            self.run_grids(Partitioning::Exclusive, max_cycles);
             if self.cycle >= max_cycles {
                 break;
             }
@@ -322,10 +325,8 @@ impl Gpu {
     pub fn run_app(&mut self, kernels: &[Kernel], max_cycles: Cycle) -> Stats {
         assert!(!kernels.is_empty());
         for k in kernels {
-            self.bind_kernel(k.clone());
-            self.distributor = CtaDistributor::new(self.kernels[0].num_ctas());
-            self.initial_fill();
-            self.advance_until_done(max_cycles);
+            self.bind(std::slice::from_ref(k));
+            self.run_grids(Partitioning::Exclusive, max_cycles);
             if self.cycle >= max_cycles {
                 break;
             }
@@ -338,11 +339,13 @@ impl Gpu {
     /// statistics plus one [`KernelStats`] per tenant, attributed end to
     /// end through the tenant tags every request carries.
     ///
-    /// With a single tenant and any policy this is bit-identical to
-    /// [`Self::run_launches`]`(1, _)`: tenant 0's address/PC offsets are
-    /// the identity and the dispatch paths coincide. Naive and
-    /// wake-driven stepping agree bit-identically on both `Stats` and
-    /// the per-tenant `KernelStats` under every policy.
+    /// A solo run is the one-tenant case of the same dispatch, so with a
+    /// single tenant and any policy this is bit-identical to
+    /// [`Self::run_launches`]`(1, _)`. Naive and wake-driven stepping
+    /// agree bit-identically on both `Stats` and the per-tenant
+    /// `KernelStats` under every policy. Under `SmSplit` with fewer SMs
+    /// than tenants some tenant owns no SM and never launches, so the
+    /// run ends at `max_cycles`.
     ///
     /// # Panics
     /// If `kernels` is empty or longer than [`MAX_TENANTS`], or the GPU
@@ -353,16 +356,12 @@ impl Gpu {
         policy: Partitioning,
         max_cycles: Cycle,
     ) -> (Stats, Vec<KernelStats>) {
-        for k in kernels {
-            k.validate().expect("invalid kernel");
-        }
-        let mut state = TenantState::new(kernels, policy);
-        state.throttling = self.tenant_throttling;
-        self.wake_all();
-        self.kernels = kernels.to_vec();
+        assert!(
+            (1..=MAX_TENANTS).contains(&kernels.len()),
+            "tenant count must be 1..={MAX_TENANTS}"
+        );
+        self.bind(kernels);
         for sm in &mut self.sms {
-            sm.rebind_shared(&self.kernels);
-            sm.set_throttle([0; MAX_TENANTS]);
             sm.reset_kernel_stats();
         }
         for p in &mut self.partitions {
@@ -371,19 +370,8 @@ impl Gpu {
         for c in &mut self.channels {
             c.reset_kernel_counters();
         }
-        // Legacy dispatch is inert in tenant mode; the per-tenant
-        // distributors drive the grid.
-        self.distributor = CtaDistributor::new(0);
-        self.tenants = Some(state);
-        self.tenant_window_end = self.cycle + TENANT_WINDOW;
-        self.tenant_initial_fill();
-        self.advance_until_done(max_cycles);
+        self.run_grids(policy, max_cycles);
         let per_kernel = self.collect_tenant_stats();
-        self.tenants = None;
-        self.tenant_window_end = Cycle::MAX;
-        for sm in &mut self.sms {
-            sm.set_throttle([0; MAX_TENANTS]);
-        }
         (self.collect_stats(), per_kernel)
     }
 
@@ -396,7 +384,41 @@ impl Gpu {
         self.tenant_throttling = on;
     }
 
-    /// Drive the clock until the bound kernel drains or `max_cycles`
+    /// Bind `kernels` as the co-resident set, tenant `t` being
+    /// `kernels[t]`: every SM's CTA slots are sized for the widest of
+    /// them. Relaunching the bound set needs no rebind.
+    ///
+    /// # Panics
+    /// If a kernel is invalid or an SM is not drained.
+    fn bind(&mut self, kernels: &[Kernel]) {
+        for k in kernels {
+            k.validate().expect("invalid kernel");
+        }
+        for sm in &mut self.sms {
+            sm.rebind(kernels);
+        }
+        self.kernels = kernels.to_vec();
+    }
+
+    /// Launch one grid per bound kernel under `policy` and drive the
+    /// clock until all of them drain or `max_cycles` elapse. The
+    /// interference monitor runs only with two or more tenants: it
+    /// cannot act on one, so a solo run skips its windows.
+    fn run_grids(&mut self, policy: Partitioning, max_cycles: Cycle) {
+        self.tenants = TenantState::new(&self.kernels, policy);
+        self.wake_all();
+        if self.kernels.len() > 1 {
+            self.tenant_window_end = self.cycle + TENANT_WINDOW;
+        }
+        self.initial_fill();
+        self.advance_until_done(max_cycles);
+        self.tenant_window_end = Cycle::MAX;
+        for sm in &mut self.sms {
+            sm.set_throttle([0; MAX_TENANTS]);
+        }
+    }
+
+    /// Drive the clock until the launched grids drain or `max_cycles`
     /// elapse. When no component is due, the clock jumps to the earliest
     /// wake cycle — clamped to the next interference-monitor boundary, so
     /// throttle updates land at the same cycle as under naive stepping,
@@ -447,7 +469,7 @@ impl Gpu {
 
     /// Charge every component's unstepped cycles up to the current cycle
     /// and make everything due now: required before state changes made
-    /// outside the cycle loop (CTA fills, kernel rebinds, a mode switch).
+    /// outside the cycle loop (CTA fills, a mode switch).
     fn wake_all(&mut self) {
         self.settle_all();
         let now = self.cycle;
@@ -486,10 +508,6 @@ impl Gpu {
     /// and wake-driven stepping keep identical, and clock jumps clamp to
     /// these boundaries, so both throttle identically.
     fn tenant_boundary(&mut self, now: Cycle) {
-        let mut ts = self
-            .tenants
-            .take()
-            .expect("tenant boundary without tenants");
         let mut misses = [0u64; MAX_TENANTS];
         for p in &self.partitions {
             for (m, &pm) in misses.iter_mut().zip(&p.stats.misses_by_kernel) {
@@ -502,88 +520,54 @@ impl Gpu {
         let mut contending = [false; MAX_TENANTS];
         for sm in &self.sms {
             for (k, c) in contending.iter_mut().enumerate() {
-                *c = *c || sm.resident_ctas_of(k as crate::types::KernelId) > 0;
+                *c = *c || sm.resident_ctas_of(k as KernelId) > 0;
             }
         }
-        let levels = ts.monitor.on_window(misses, contending);
-        if ts.throttling {
+        let levels = self.tenants.monitor.on_window(misses, contending);
+        if self.tenant_throttling {
             for (i, sm) in self.sms.iter_mut().enumerate() {
                 sm.set_throttle(levels);
                 self.sm_wake.wake(i, now);
             }
         }
-        self.tenants = Some(ts);
         self.tenant_window_end = now + TENANT_WINDOW;
     }
 
-    /// Initial round-robin fill in tenant mode (§II-B per tenant):
-    /// `Exclusive` fills every SM from the first tenant; `SmSplit` fills
-    /// each tenant's SM slice from its own grid; `Shared` fills every SM
-    /// from every tenant up to the per-SM per-tenant quota.
-    fn tenant_initial_fill(&mut self) {
-        let mut ts = self.tenants.take().expect("tenant fill without tenants");
-        let num_sms = self.cfg.num_sms;
-        let cap = self.sms[0].resident_cta_cap();
+    /// Round-robin initial fill (§II-B, Fig. 3), tenant by tenant: the
+    /// distributor's plan offers one CTA to each SM of the tenant's
+    /// range per round, for as many rounds as its quota allows and the
+    /// fullest SM of the range has free slots, so every dispensed CTA
+    /// id lands in a free slot. While every SM of the range has `quota`
+    /// free slots, the cap changes nothing.
+    fn initial_fill(&mut self) {
         let now = self.cycle;
-        match ts.policy {
-            Partitioning::Exclusive => {
-                if let Some(t) = ts.active_exclusive() {
-                    let ctx = &mut ts.ctxs[t];
-                    let plan = ctx.distributor.initial_fill(num_sms, cap);
-                    for (sm, cta) in plan {
-                        let coord = ctx.kernel.cta_coord(cta);
-                        self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        ctx.start_cycle.get_or_insert(now);
-                    }
-                }
-            }
-            Partitioning::SmSplit => {
-                for t in 0..ts.ctxs.len() {
-                    let range = ts.sm_range(t, num_sms);
-                    let ctx = &mut ts.ctxs[t];
-                    let plan = ctx.distributor.initial_fill(range.len(), cap);
-                    for (sm, cta) in plan {
-                        let sm = range.start + sm;
-                        let coord = ctx.kernel.cta_coord(cta);
-                        self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        ctx.start_cycle.get_or_insert(now);
-                    }
-                }
-            }
-            Partitioning::Shared => {
-                let quota = (cap / ts.ctxs.len()).max(1);
-                for t in 0..ts.ctxs.len() {
-                    let ctx = &mut ts.ctxs[t];
-                    let plan = ctx.distributor.initial_fill(num_sms, quota);
-                    for (sm, cta) in plan {
-                        if !self.sms[sm].has_free_cta_slot() {
-                            // Quota rounding can overcommit slots when
-                            // cap < tenants; surplus CTAs return to the
-                            // grid via demand refill. Unreachable for
-                            // cap >= tenants, but cheap to guard.
-                            continue;
-                        }
-                        let coord = ctx.kernel.cta_coord(cta);
-                        self.sms[sm].launch_cta(coord, t as KernelId, &ctx.kernel);
-                        ctx.start_cycle.get_or_insert(now);
-                    }
-                }
+        let cap = self.sms[0].resident_cta_cap();
+        for t in 0..self.kernels.len() {
+            let Some((sms, quota)) = self.tenants.placement(t, self.cfg.num_sms, cap) else {
+                continue;
+            };
+            let free = sms.clone().map(|i| self.sms[i].free_cta_slots()).min();
+            let rounds = free.unwrap_or(0).min(quota);
+            let ctx = &mut self.tenants.ctxs[t];
+            let kernel = &self.kernels[t];
+            for (k, cta) in ctx.distributor.initial_fill(sms.len(), rounds) {
+                let coord = kernel.cta_coord(cta);
+                self.sms[sms.start + k].launch_cta(coord, t as KernelId, kernel);
+                ctx.start_cycle.get_or_insert(now);
             }
         }
-        self.tenants = Some(ts);
     }
 
-    /// Demand-driven refill in tenant mode, run at the end of a cycle in
-    /// which a CTA completed: record tenant finish times, then hand freed
-    /// slots to the policy's eligible tenants in fixed (SM, tenant) order
-    /// — deterministic, so bit-identical everywhere.
-    fn refill_tenants(&mut self) {
-        let mut ts = self.tenants.take().expect("tenant refill without tenants");
+    /// Demand-driven refill (Fig. 3), run at the end of a cycle in which
+    /// a CTA completed: mark the tenants whose grid drained, then hand
+    /// each tenant's next CTA ids to the free slots of its range, SM by
+    /// SM, up to its per-SM quota. The order is fixed, so the result is
+    /// deterministic.
+    fn refill_ctas(&mut self) {
         let now = self.cycle;
-        let num_sms = self.cfg.num_sms;
         // Finish detection first, so `Exclusive` can hand the machine to
         // the next tenant in the same cycle its predecessor drains.
-        for (k, ctx) in ts.ctxs.iter_mut().enumerate() {
+        for (k, ctx) in self.tenants.ctxs.iter_mut().enumerate() {
             if ctx.finish_cycle.is_none()
                 && ctx.start_cycle.is_some()
                 && ctx.distributor.remaining() == 0
@@ -595,74 +579,44 @@ impl Gpu {
                 ctx.finish_cycle = Some(now);
             }
         }
-        match ts.policy {
-            Partitioning::Exclusive => {
-                if let Some(t) = ts.active_exclusive() {
-                    let ctx = &mut ts.ctxs[t];
-                    for i in 0..num_sms {
-                        while self.sms[i].has_free_cta_slot() {
-                            let Some(id) = ctx.distributor.next_cta() else {
-                                break;
-                            };
-                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
-                            ctx.start_cycle.get_or_insert(now);
-                        }
-                    }
-                }
-            }
-            Partitioning::SmSplit => {
-                for t in 0..ts.ctxs.len() {
-                    let range = ts.sm_range(t, num_sms);
-                    let ctx = &mut ts.ctxs[t];
-                    for i in range {
-                        while self.sms[i].has_free_cta_slot() {
-                            let Some(id) = ctx.distributor.next_cta() else {
-                                break;
-                            };
-                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
-                            ctx.start_cycle.get_or_insert(now);
-                        }
-                    }
-                }
-            }
-            Partitioning::Shared => {
-                let quota = (self.sms[0].resident_cta_cap() / ts.ctxs.len()).max(1);
-                for i in 0..num_sms {
-                    for (t, ctx) in ts.ctxs.iter_mut().enumerate() {
-                        while self.sms[i].has_free_cta_slot()
-                            && self.sms[i].resident_ctas_of(t as KernelId) < quota
-                        {
-                            let Some(id) = ctx.distributor.next_cta() else {
-                                break;
-                            };
-                            self.launch_in_tail(i, ctx.kernel.cta_coord(id), t, &ctx.kernel);
-                            ctx.start_cycle.get_or_insert(now);
-                        }
-                    }
+        let cap = self.sms[0].resident_cta_cap();
+        for t in 0..self.kernels.len() {
+            let Some((sms, quota)) = self.tenants.placement(t, self.cfg.num_sms, cap) else {
+                continue;
+            };
+            'sms: for i in sms {
+                while self.sms[i].has_free_cta_slot()
+                    && self.sms[i].resident_ctas_of(t as KernelId) < quota
+                {
+                    let Some(cta) = self.tenants.ctxs[t].distributor.next_cta() else {
+                        break 'sms;
+                    };
+                    self.launch_in_tail(i, t, cta);
                 }
             }
         }
-        self.tenants = Some(ts);
     }
 
-    /// Launch a CTA on SM `i` at the end of the current cycle, after the
-    /// SM's slot in it: the SM is charged its unstepped cycles through
-    /// this one under its pre-launch state, then steps next cycle.
-    fn launch_in_tail(&mut self, i: usize, coord: CtaCoord, tenant: usize, kernel: &Kernel) {
+    /// Launch CTA `cta` of tenant `t` on SM `i` at the end of the
+    /// current cycle, after the SM's slot in it: the SM is charged its
+    /// unstepped cycles through this one under its pre-launch state,
+    /// then steps next cycle.
+    fn launch_in_tail(&mut self, i: usize, t: usize, cta: u32) {
         let now = self.cycle;
         let skipped = self.sm_wake.settle(i, now + 1);
         self.sms[i].account_skipped(skipped);
-        self.sms[i].launch_cta(coord, tenant as KernelId, kernel);
+        let kernel = &self.kernels[t];
+        self.sms[i].launch_cta(kernel.cta_coord(cta), t as KernelId, kernel);
         self.sm_wake.wake(i, now + 1);
+        self.tenants.ctxs[t].start_cycle.get_or_insert(now);
     }
 
     /// Aggregate each tenant's side counters (SM, L2, DRAM) and lifetime
     /// marks into per-tenant [`KernelStats`]. Part of the bit-identity
     /// contract, unlike the host-side reports.
     fn collect_tenant_stats(&self) -> Vec<KernelStats> {
-        let ts = self.tenants.as_ref().expect("no tenant state to collect");
-        let mut out = Vec::with_capacity(ts.ctxs.len());
-        for (k, ctx) in ts.ctxs.iter().enumerate() {
+        let mut out = Vec::with_capacity(self.tenants.ctxs.len());
+        for (k, ctx) in self.tenants.ctxs.iter().enumerate() {
             let mut total = KernelStats::default();
             for sm in &self.sms {
                 total.absorb(&sm.kstats[k]);
@@ -683,35 +637,11 @@ impl Gpu {
         out
     }
 
-    /// Replace the bound kernel (the GPU must be drained between
-    /// kernels; callers normally use [`Self::run_app`]).
-    pub fn bind_kernel(&mut self, kernel: Kernel) {
-        kernel.validate().expect("invalid kernel");
-        self.wake_all();
-        for sm in &mut self.sms {
-            sm.rebind(&kernel);
-        }
-        self.kernels = vec![kernel];
-    }
-
-    fn initial_fill(&mut self) {
-        // Round-robin initial assignment (§II-B): one CTA at a time per
-        // SM until each reaches its residency cap.
-        let cap = self.sms[0].resident_cta_cap();
-        let plan = self.distributor.initial_fill(self.cfg.num_sms, cap);
-        let kernel = &self.kernels[0];
-        for (sm, cta) in plan {
-            let coord = kernel.cta_coord(cta);
-            self.sms[sm].launch_cta(coord, 0, kernel);
-        }
-    }
-
     fn done(&self) -> bool {
-        let dispatch_done = match &self.tenants {
-            Some(ts) => ts.ctxs.iter().all(|c| c.distributor.remaining() == 0),
-            None => self.distributor.remaining() == 0,
-        };
-        dispatch_done
+        self.tenants
+            .ctxs
+            .iter()
+            .all(|c| c.distributor.remaining() == 0)
             && self.sms.iter().all(Sm::is_idle)
             && self.partitions.iter().all(MemoryPartition::idle)
             && self.req_net.in_flight() == 0
@@ -914,23 +844,6 @@ impl Gpu {
         ));
     }
 
-    fn refill_ctas(&mut self) {
-        if self.tenants.is_some() {
-            self.refill_tenants();
-            return;
-        }
-        let kernels = std::mem::take(&mut self.kernels);
-        'sms: for i in 0..self.cfg.num_sms {
-            while self.sms[i].has_free_cta_slot() {
-                let Some(id) = self.distributor.next_cta() else {
-                    break 'sms;
-                };
-                self.launch_in_tail(i, kernels[0].cta_coord(id), 0, &kernels[0]);
-            }
-        }
-        self.kernels = kernels;
-    }
-
     /// Aggregate statistics across SMs, partitions, channels, networks,
     /// after charging every component's unstepped cycles.
     pub fn collect_stats(&mut self) -> Stats {
@@ -1008,14 +921,9 @@ impl Gpu {
         &self.cfg
     }
 
-    /// The kernel bound to this GPU (the first tenant in tenant mode).
+    /// The first bound kernel (tenant 0; the only one of a solo run).
     pub fn kernel(&self) -> &Kernel {
         &self.kernels[0]
-    }
-
-    /// All co-resident kernels (one entry in legacy mode).
-    pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
     }
 }
 
@@ -1126,11 +1034,8 @@ mod tests {
         let k = stride_kernel(8, 4);
         let mut gpu = Gpu::new(cfg, k.clone(), &*null_factory());
         // Start but don't finish, then try to bind mid-flight.
-        gpu.initial_fill();
-        for _ in 0..10 {
-            gpu.step();
-        }
-        gpu.bind_kernel(k);
+        gpu.run_grids(Partitioning::Exclusive, 10);
+        gpu.bind(&[k]);
     }
 
     #[test]
@@ -1246,35 +1151,50 @@ mod tests {
 
     #[test]
     fn single_tenant_is_bit_identical_to_run_launches_under_every_policy() {
-        // The degenerate case of the tenant layer: one kernel, any
-        // policy, must reproduce the classic single-owner run exactly
-        // (tenant 0's address/PC offsets are the identity).
+        // A solo run is the one-tenant case: one kernel under any policy
+        // reproduces `run_launches` exactly (tenant 0's address/PC
+        // offsets are the identity).
         let cfg = GpuConfig::test_small();
-        let legacy = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory())
+        let solo = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory())
             .run_launches(1, 1_000_000);
         for policy in Partitioning::all() {
             let mut gpu = Gpu::new(cfg.clone(), stride_kernel(16, 4), &*null_factory());
             let (stats, per_kernel) = gpu.run_tenants(&[stride_kernel(16, 4)], policy, 1_000_000);
-            assert_eq!(stats, legacy, "{policy} diverged from run_launches");
+            assert_eq!(stats, solo, "{policy} diverged from run_launches");
             assert_eq!(per_kernel.len(), 1);
             assert_eq!(per_kernel[0].ctas_completed, 16);
-            assert_eq!(per_kernel[0].instructions, legacy.warp_instructions);
+            assert_eq!(per_kernel[0].instructions, solo.warp_instructions);
         }
     }
 
     #[test]
     fn multi_tenant_policies_complete_every_tenants_grid() {
-        let cfg = GpuConfig::test_small();
-        for policy in Partitioning::all() {
-            let mut gpu = Gpu::new(cfg.clone(), stride_kernel(8, 4), &*null_factory());
-            let tenants = [stride_kernel(8, 4), stride_kernel(12, 2)];
-            let (stats, per_kernel) = gpu.run_tenants(&tenants, policy, 2_000_000);
-            assert_eq!(per_kernel[0].ctas_completed, 8, "{policy}");
-            assert_eq!(per_kernel[1].ctas_completed, 12, "{policy}");
-            assert_eq!(stats.ctas_completed, 20, "{policy}");
-            for k in &per_kernel {
-                assert!(k.finish_cycle > k.start_cycle, "{policy}: empty lifetime");
-                assert!(k.ipc() > 0.0, "{policy}: zero IPC");
+        // (CTAs, warps per CTA) of each tenant, SMs, CTA slots per SM.
+        // The three-tenant cases have fewer slots per SM than tenants, so
+        // `Shared`'s quota floor of one CTA fills some SMs before every
+        // tenant has placed one.
+        type Case = (&'static [(u32, u32)], usize, usize);
+        let cases: [Case; 3] = [
+            (&[(8, 4), (12, 2)], 2, 8),
+            (&[(8, 4), (12, 2), (6, 1)], 3, 2),
+            (&[(8, 4), (12, 2), (6, 1)], 3, 1),
+        ];
+        for (grids, sms, slots) in cases {
+            let mut cfg = GpuConfig::test_small();
+            cfg.num_sms = sms;
+            cfg.max_ctas_per_sm = slots;
+            let tenants: Vec<Kernel> = grids.iter().map(|&(c, w)| stride_kernel(c, w)).collect();
+            for policy in Partitioning::all() {
+                let case = format!("{policy}, {} tenants, {slots} slots", grids.len());
+                let mut gpu = Gpu::new(cfg.clone(), tenants[0].clone(), &*null_factory());
+                let (stats, per_kernel) = gpu.run_tenants(&tenants, policy, 2_000_000);
+                for (k, &(ctas, _)) in per_kernel.iter().zip(grids) {
+                    assert_eq!(k.ctas_completed, ctas as u64, "{case}");
+                    assert!(k.finish_cycle > k.start_cycle, "{case}: empty lifetime");
+                    assert!(k.ipc() > 0.0, "{case}: zero IPC");
+                }
+                let total: u32 = grids.iter().map(|&(c, _)| c).sum();
+                assert_eq!(stats.ctas_completed, total as u64, "{case}");
             }
         }
     }

@@ -61,7 +61,6 @@ pub mod sched;
 pub mod sm;
 pub mod stats;
 pub mod tenant;
-pub mod trace;
 pub mod types;
 pub mod warp;
 

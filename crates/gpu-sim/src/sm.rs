@@ -25,8 +25,8 @@ use crate::warp::{LoopFrame, WarpCtx, WarpState};
 /// Address-space offset of kernel context `k`. Co-resident tenants run
 /// in disjoint global-address windows (distinct applications), so every
 /// coalesced line is offset by this before it enters the memory path.
-/// Kernel 0's offset is zero — the identity that keeps the legacy
-/// single-kernel path bit-identical to the pre-tenant simulator.
+/// Kernel 0's offset is zero, so a solo run's addresses are the
+/// kernel's own.
 #[inline]
 pub fn kernel_addr_offset(k: KernelId) -> Addr {
     (k as Addr) << 40
@@ -70,6 +70,12 @@ struct MemInst {
     is_store: bool,
     lines: Vec<Addr>,
     next: usize,
+}
+
+/// CTAs an SM can host when each CTA slot holds `wpc` warps.
+fn cta_cap(cfg: &GpuConfig, wpc: u32) -> usize {
+    let by_warps = (cfg.max_warps_per_sm as u32 / wpc).max(1) as usize;
+    cfg.max_ctas_per_sm.min(by_warps)
 }
 
 /// One streaming multiprocessor.
@@ -150,8 +156,7 @@ impl Sm {
         prefetcher: Box<dyn Prefetcher>,
     ) -> Self {
         let wpc = kernel.warps_per_cta(cfg.simt_width);
-        let by_warps = (cfg.max_warps_per_sm as u32 / wpc).max(1) as usize;
-        let resident_cta_cap = cfg.max_ctas_per_sm.min(by_warps);
+        let resident_cta_cap = cta_cap(cfg, wpc);
         Sm {
             id,
             cfg: cfg.clone(),
@@ -184,40 +189,27 @@ impl Sm {
         }
     }
 
-    /// Maximum CTAs this SM can host for the bound kernel.
+    /// Maximum CTAs this SM can host for the bound kernels.
     #[inline]
     pub fn resident_cta_cap(&self) -> usize {
         self.resident_cta_cap
     }
 
-    /// Re-bind the SM to a new kernel's geometry (applications launch
-    /// several kernels, §II-A). The SM must be drained; caches and the
-    /// prefetcher's PC-indexed state persist across kernels exactly as
-    /// the hardware's would.
-    pub fn rebind(&mut self, kernel: &Kernel) {
-        assert!(self.is_idle(), "rebind requires a drained SM");
-        let wpc = kernel.warps_per_cta(self.cfg.simt_width);
-        let by_warps = (self.cfg.max_warps_per_sm as u32 / wpc).max(1) as usize;
-        self.resident_cta_cap = self.cfg.max_ctas_per_sm.min(by_warps);
-        self.warps_per_cta = wpc;
-        self.cta_slots = vec![None; self.resident_cta_cap];
-        self.pf_q.clear();
-    }
-
-    /// Re-bind the SM for intra-SM co-location (`Shared` policy): CTA
-    /// slots are sized for the *widest* co-resident kernel so any
-    /// tenant's CTA fits any slot, at the cost of internal slot
-    /// fragmentation for narrower tenants — the hardware trade-off of a
-    /// fixed slot partition.
-    pub fn rebind_shared(&mut self, kernels: &[Kernel]) {
+    /// Re-bind the SM to a new set of co-resident kernels (applications
+    /// launch several kernels, §II-A; tenants share SMs). CTA slots are
+    /// sized for the *widest* kernel so any tenant's CTA fits any slot,
+    /// at the cost of internal slot fragmentation for narrower tenants —
+    /// the hardware trade-off of a fixed slot partition. The SM must be
+    /// drained; caches and the prefetcher's PC-indexed state persist
+    /// across kernels exactly as the hardware's would.
+    pub fn rebind(&mut self, kernels: &[Kernel]) {
         assert!(self.is_idle(), "rebind requires a drained SM");
         let wpc = kernels
             .iter()
             .map(|k| k.warps_per_cta(self.cfg.simt_width))
             .max()
-            .expect("rebind_shared with no kernels");
-        let by_warps = (self.cfg.max_warps_per_sm as u32 / wpc).max(1) as usize;
-        self.resident_cta_cap = self.cfg.max_ctas_per_sm.min(by_warps);
+            .expect("rebind with no kernels");
+        self.resident_cta_cap = cta_cap(&self.cfg, wpc);
         self.warps_per_cta = wpc;
         self.cta_slots = vec![None; self.resident_cta_cap];
         self.pf_q.clear();
@@ -234,7 +226,7 @@ impl Sm {
         self.kstats = [KernelStats::default(); MAX_TENANTS];
     }
 
-    /// CTAs of kernel `k` currently resident (Shared-policy quota check).
+    /// CTAs of kernel `k` currently resident (the refill's quota check).
     pub fn resident_ctas_of(&self, k: KernelId) -> usize {
         self.cta_slots
             .iter()
@@ -245,6 +237,11 @@ impl Sm {
     /// Whether a CTA slot is free.
     pub fn has_free_cta_slot(&self) -> bool {
         self.cta_slots.iter().any(Option::is_none)
+    }
+
+    /// Number of free CTA slots.
+    pub(crate) fn free_cta_slots(&self) -> usize {
+        self.cta_slots.iter().filter(|s| s.is_none()).count()
     }
 
     /// Number of warps still executing.
@@ -369,9 +366,8 @@ impl Sm {
 
     /// Advance one cycle. Completed CTA coordinates are appended to
     /// `completed` so the GPU can refill slots demand-driven. `kernels`
-    /// is the table of co-resident kernel contexts; each warp executes
-    /// the program of the context it was launched under (index 0 in the
-    /// single-kernel legacy path).
+    /// is the table of bound kernels; each warp executes the program of
+    /// the kernel it was launched under (index 0 in a solo run).
     ///
     /// Returns whether anything changed beyond the per-cycle stall
     /// counters. With empty outbound queues, a step that returns `false`

@@ -1,25 +1,26 @@
-//! Multi-tenant grid dispatch: co-resident kernel contexts.
+//! Grid dispatch: co-resident kernel contexts.
 //!
-//! The classic execution model ("one kernel owns the machine") becomes
-//! the degenerate case of N co-resident *kernel contexts*, each with its
-//! own CTA iterator, per-kernel statistics, and private address/PC
-//! windows (see [`crate::sm::kernel_addr_offset`]). Three partitioning
-//! policies decide how tenants share the SMs:
+//! Every run launches its grids through one dispatch path. A bound
+//! kernel is a *tenant* with its own CTA iterator, per-kernel statistics
+//! and private address/PC windows (see [`crate::sm::kernel_addr_offset`]);
+//! a solo run is the one-tenant case. Three partitioning policies decide
+//! where each tenant may place CTAs (`TenantState::placement`):
 //!
 //! * [`Partitioning::Exclusive`] — tenants run back to back, each owning
-//!   every SM while active. With a single tenant this is bit-identical
-//!   to [`crate::gpu::Gpu::run_launches`].
+//!   every SM while active. Solo runs use it.
 //! * [`Partitioning::SmSplit`] — an MPS-style static split: tenant `t`
 //!   owns the contiguous SM range `[t·S/N, (t+1)·S/N)`.
 //! * [`Partitioning::Shared`] — true intra-SM co-location: every SM
 //!   hosts CTAs of every tenant under a per-SM per-tenant quota.
 //!
-//! A CIAO-style interference monitor samples per-tenant L2 miss deltas
-//! every [`TENANT_WINDOW`] cycles and duty-cycle throttles the tenant
-//! that is thrashing the shared L2/DRAM path (see
-//! [`InterferenceMonitor`]). The monitor reads only simulated state, so
-//! its decisions — and therefore all statistics — remain bit-identical
-//! under naive and wake-driven stepping.
+//! With two or more tenants, a CIAO-style interference monitor samples
+//! per-tenant L2 miss deltas every [`TENANT_WINDOW`] cycles and
+//! duty-cycle throttles the tenant that is thrashing the shared L2/DRAM
+//! path (see [`InterferenceMonitor`]). The monitor reads only simulated
+//! state, so its decisions — and therefore all statistics — remain
+//! bit-identical under naive and wake-driven stepping.
+
+use std::ops::Range;
 
 use crate::cta_scheduler::CtaDistributor;
 use crate::kernel::Kernel;
@@ -33,7 +34,7 @@ pub const TENANT_WINDOW: Cycle = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Partitioning {
     /// Tenants run back to back, each owning the whole machine while it
-    /// runs (time-sharing; the degenerate single-kernel case).
+    /// runs (time-sharing; the policy of solo runs).
     Exclusive,
     /// Static SM partition (MPS-style): tenant `t` owns a contiguous
     /// slice of the SMs for the whole run.
@@ -83,36 +84,17 @@ impl std::str::FromStr for Partitioning {
     }
 }
 
-/// One co-resident kernel's dispatch context: the kernel, its private
-/// CTA iterator, and its lifetime marks in machine cycles.
+/// One tenant's dispatch context: its private CTA iterator and its
+/// lifetime marks in machine cycles. The tenant's kernel is the GPU's
+/// bound kernel at the same index.
 #[derive(Debug, Clone)]
 pub struct KernelCtx {
-    /// The tenant's kernel.
-    pub kernel: Kernel,
     /// Grid iterator dispensing this tenant's CTA ids.
     pub distributor: CtaDistributor,
     /// Cycle the first CTA launched (`None` until it has).
     pub start_cycle: Option<Cycle>,
     /// Cycle the last CTA completed (`None` while running).
     pub finish_cycle: Option<Cycle>,
-}
-
-impl KernelCtx {
-    /// Fresh context over `kernel`'s full grid.
-    pub fn new(kernel: Kernel) -> Self {
-        let total = kernel.num_ctas();
-        KernelCtx {
-            kernel,
-            distributor: CtaDistributor::new(total),
-            start_cycle: None,
-            finish_cycle: None,
-        }
-    }
-
-    /// Whether every CTA of this tenant has completed.
-    pub fn finished(&self) -> bool {
-        self.finish_cycle.is_some()
-    }
 }
 
 /// CIAO-style interference monitor: per window, attribute L2 misses to
@@ -195,7 +177,9 @@ impl InterferenceMonitor {
     }
 }
 
-/// Whole-run dispatch state for a co-resident tenant set.
+/// Grid dispatch state of one launch: a context per bound kernel, the
+/// partitioning policy, and the interference monitor (which runs only
+/// while two or more tenants share the machine).
 #[derive(Debug, Clone)]
 pub struct TenantState {
     /// One context per tenant; index is the tenant's [`crate::types::KernelId`].
@@ -204,47 +188,45 @@ pub struct TenantState {
     pub policy: Partitioning,
     /// The interference monitor driving per-tenant throttles.
     pub monitor: InterferenceMonitor,
-    /// Whether the monitor may throttle (off for BASE co-run baselines).
-    pub throttling: bool,
 }
 
 impl TenantState {
-    /// Build dispatch state for `kernels` under `policy`.
-    ///
-    /// # Panics
-    /// If `kernels` is empty or holds more than [`MAX_TENANTS`] entries.
+    /// Fresh dispatch state over the full grid of each of `kernels`.
     pub fn new(kernels: &[Kernel], policy: Partitioning) -> Self {
-        assert!(
-            !kernels.is_empty() && kernels.len() <= MAX_TENANTS,
-            "tenant count must be 1..={MAX_TENANTS}"
-        );
         TenantState {
-            ctxs: kernels.iter().cloned().map(KernelCtx::new).collect(),
+            ctxs: kernels
+                .iter()
+                .map(|k| KernelCtx {
+                    distributor: CtaDistributor::new(k.num_ctas()),
+                    start_cycle: None,
+                    finish_cycle: None,
+                })
+                .collect(),
             policy,
             monitor: InterferenceMonitor::new(),
-            throttling: true,
         }
     }
 
-    /// Tenant `t`'s SM range under `SmSplit` over `num_sms` SMs (the
-    /// contiguous equal split; same shape as the engine's shard ranges).
-    pub fn sm_range(&self, t: usize, num_sms: usize) -> std::ops::Range<usize> {
+    /// Where tenant `t` may place CTAs on `num_sms` SMs of `cap` CTA
+    /// slots each: its SM range and per-SM CTA quota, or `None` while it
+    /// waits its `Exclusive` turn (the first unfinished tenant runs).
+    /// `SmSplit` ranges are the contiguous equal split, empty for some
+    /// tenant when there are fewer SMs than tenants.
+    pub(crate) fn placement(
+        &self,
+        t: usize,
+        num_sms: usize,
+        cap: usize,
+    ) -> Option<(Range<usize>, usize)> {
         let n = self.ctxs.len();
-        (t * num_sms / n)..((t + 1) * num_sms / n)
-    }
-
-    /// Which tenants have unfinished work (dispatch or resident CTAs).
-    pub fn running(&self) -> [bool; MAX_TENANTS] {
-        let mut r = [false; MAX_TENANTS];
-        for (k, ctx) in self.ctxs.iter().enumerate() {
-            r[k] = !ctx.finished();
+        match self.policy {
+            Partitioning::Exclusive => {
+                let active = self.ctxs.iter().position(|c| c.finish_cycle.is_none());
+                (active == Some(t)).then_some((0..num_sms, cap))
+            }
+            Partitioning::SmSplit => Some((t * num_sms / n..(t + 1) * num_sms / n, cap)),
+            Partitioning::Shared => Some((0..num_sms, (cap / n).max(1))),
         }
-        r
-    }
-
-    /// First unfinished tenant (the `Exclusive` policy's active tenant).
-    pub fn active_exclusive(&self) -> Option<usize> {
-        self.ctxs.iter().position(|c| !c.finished())
     }
 }
 
@@ -293,11 +275,35 @@ mod tests {
         let ts = TenantState::new(&[k.clone(), k.clone(), k], Partitioning::SmSplit);
         let mut covered = [false; 15];
         for t in 0..3 {
-            for sm in ts.sm_range(t, 15) {
+            let (sms, quota) = ts.placement(t, 15, 8).unwrap();
+            assert_eq!(quota, 8, "a tenant owns its SMs' slots");
+            for sm in sms {
                 assert!(!covered[sm], "overlapping SM ranges");
                 covered[sm] = true;
             }
         }
         assert!(covered.iter().all(|&c| c));
+    }
+
+    #[test]
+    fn placement_follows_the_policy() {
+        use crate::isa::ProgramBuilder;
+        let prog = ProgramBuilder::new().alu(1).build();
+        let k = Kernel::new("k", (4, 1), 64, prog);
+        let mut ts = TenantState::new(&[k.clone(), k.clone(), k], Partitioning::Exclusive);
+        assert_eq!(ts.placement(0, 15, 8), Some((0..15, 8)));
+        assert_eq!(ts.placement(1, 15, 8), None, "waits its turn");
+        ts.ctxs[0].finish_cycle = Some(10);
+        assert_eq!(ts.placement(0, 15, 8), None);
+        assert_eq!(ts.placement(1, 15, 8), Some((0..15, 8)));
+        ts.policy = Partitioning::Shared;
+        assert_eq!(ts.placement(2, 15, 8), Some((0..15, 2)));
+        assert_eq!(ts.placement(2, 15, 2), Some((0..15, 1)), "quota floor");
+        ts.policy = Partitioning::SmSplit;
+        assert_eq!(
+            ts.placement(0, 2, 8),
+            Some((0..0, 8)),
+            "fewer SMs than tenants"
+        );
     }
 }

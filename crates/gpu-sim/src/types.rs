@@ -29,9 +29,9 @@ pub type CtaSlot = usize;
 /// CTAs, and memory requests carry it end to end so per-kernel state —
 /// ready queues, CAP per-CTA tables, prefetch streams, L2/DRAM
 /// attribution — never cross-pollinates between tenants. Id `0` is the
-/// single-kernel legacy tenant: every tag derived from it (address
-/// offset, PC tag) is the identity, which is what keeps the classic
-/// one-kernel path bit-identical to the pre-tenant simulator.
+/// first tenant, the only one of a solo run: every tag derived from it
+/// (address offset, PC tag) is the identity, so a solo run sees its
+/// kernel's own addresses and PCs.
 pub type KernelId = u8;
 
 /// Maximum co-resident kernel contexts. Small and fixed so per-kernel

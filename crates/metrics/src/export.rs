@@ -349,7 +349,6 @@ macro_rules! for_each_gpu_config_scalar {
             (icnt_latency, u32),
             (icnt_bandwidth, u32),
             (icnt_queue_depth, usize),
-            (issue_width, u32),
             (ldst_queue_depth, usize),
             (prefetch_queue_depth, usize),
             (prefetch_issue_per_cycle, u32),
@@ -589,6 +588,13 @@ mod tests {
         spec.base_config.dram_timing.t_burst = 9;
         let back = spec_from_value(&spec_to_value(&spec)).expect("parses");
         assert_eq!(back, spec);
+        // A config from a client that still sends the deleted
+        // `issue_width` knob parses to the same config.
+        let mut old = config_to_value(&spec.base_config);
+        if let Value::Obj(fields) = &mut old {
+            fields.push(("issue_width".to_string(), Value::UInt(2)));
+        }
+        assert_eq!(config_from_value(&old).expect("parses"), spec.base_config);
 
         let co = RunSpec::small(Workload::Scn, Engine::Caps)
             .co_resident(vec![Workload::Mrq, Workload::Mm], Partitioning::SmSplit);

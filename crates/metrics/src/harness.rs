@@ -111,9 +111,10 @@ impl RunSpec {
 
     /// Why this spec cannot run, if it cannot: a broken configuration
     /// rule ([`GpuConfig::check`]), more partners than the machine has
-    /// kernel contexts, or a kernel whose CTA needs more warps than an
-    /// SM holds. Never panics, so it can screen jobs that arrive from
-    /// outside the program.
+    /// kernel contexts, an `SmSplit` co-run with more tenants than SMs
+    /// (some tenant would own no SM and never launch), or a kernel whose
+    /// CTA needs more warps than an SM holds. Never panics, so it can
+    /// screen jobs that arrive from outside the program.
     pub fn check(&self) -> Result<(), String> {
         let cfg = &self.base_config;
         cfg.check()?;
@@ -126,6 +127,20 @@ impl RunSpec {
                 "a co-run takes at most {} partners, got {}",
                 MAX_TENANTS - 1,
                 partners.len()
+            ));
+        }
+        let split = matches!(
+            self.tenancy,
+            Tenancy::Co {
+                policy: Partitioning::SmSplit,
+                ..
+            }
+        );
+        if split && partners.len() >= cfg.num_sms {
+            return Err(format!(
+                "sm-split needs an SM per tenant: {} tenants, {} SMs",
+                partners.len() + 1,
+                cfg.num_sms
             ));
         }
         for w in std::iter::once(&self.workload).chain(partners) {

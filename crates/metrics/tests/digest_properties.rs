@@ -65,7 +65,6 @@ fn config_mutators() -> Vec<Mutator> {
         ("icnt_latency", |c, b| c.icnt_latency += b),
         ("icnt_bandwidth", |c, b| c.icnt_bandwidth += b),
         ("icnt_queue_depth", |c, b| c.icnt_queue_depth += b as usize),
-        ("issue_width", |c, b| c.issue_width += b),
         ("ldst_queue_depth", |c, b| c.ldst_queue_depth += b as usize),
         ("prefetch_queue_depth", |c, b| c.prefetch_queue_depth += b as usize),
         ("prefetch_issue_per_cycle", |c, b| c.prefetch_issue_per_cycle += b),

@@ -5,14 +5,16 @@
 //! prefetch queue depth and the two-level ready-queue size — and runs a
 //! drawn small-scale workload under a
 //! drawn engine, once with naive stepping and once wake-driven. Every
-//! third case is instead a two-tenant co-run with interference
-//! throttling on, cycling through the three partitioning policies. Both
+//! third case is instead a co-run of 2–4 tenants with interference
+//! throttling on, cycling through the three partitioning policies, on
+//! 1, 2, 4 or 8 CTA slots per SM — often fewer slots than tenants. Both
 //! modes must agree on `Stats`, per-tenant `KernelStats` and the link
-//! report, and no ring may grow past its reserved bound. A failure
-//! names the seed that reproduces it.
+//! report, every tenant must complete its whole grid, and no ring may
+//! grow past its reserved bound. A failure names the seed that
+//! reproduces it.
 
 use caps_gpu_sim::config::GpuConfig;
-use caps_metrics::{run_one_with_opts, Engine, Partitioning, RunOpts, RunRecord, RunSpec};
+use caps_metrics::{run_one_with_opts, Engine, Partitioning, RunOpts, RunRecord, RunSpec, Tenancy};
 use caps_workloads::{all_workloads, Scale};
 
 /// Cases per run; sized to keep the suite well under a minute.
@@ -99,7 +101,9 @@ fn naive_and_wake_driven_stepping_agree_on_random_machines() {
         spec.base_config = cfg;
         if co_run {
             let policy = Partitioning::all()[(seed / 3) as usize % 3];
-            spec = spec.co_resident(vec![rng.pick(&workloads)], policy);
+            let partners = (0..rng.range(1, 3)).map(|_| rng.pick(&workloads)).collect();
+            spec = spec.co_resident(partners, policy);
+            spec.base_config.max_ctas_per_sm = rng.pick(&[1, 2, 4, 8]);
         }
         let case = format!("seed {seed}: {spec:?}");
         let naive = run(&spec, false);
@@ -112,5 +116,12 @@ fn naive_and_wake_driven_stepping_agree_on_random_machines() {
         assert_eq!(wake.links, naive.links, "link report diverged, {case}");
         assert_eq!(wake.links.total().grows, 0, "a ring grew, {case}");
         assert!(naive.stats.cycles > 0, "nothing ran, {case}");
+        if let Tenancy::Co { partners, .. } = &spec.tenancy {
+            let grids = std::iter::once(&spec.workload).chain(partners);
+            for (t, (k, w)) in naive.per_kernel.iter().zip(grids).enumerate() {
+                let ctas = w.kernel(spec.scale).num_ctas() as u64;
+                assert_eq!(k.ctas_completed, ctas, "tenant {t} lost CTAs, {case}");
+            }
+        }
     }
 }

@@ -416,11 +416,6 @@ impl<R: Read> LineReader<R> {
         }
     }
 
-    /// The wrapped stream (for e.g. adjusting socket timeouts).
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
     /// Next complete line, without its terminator (`\n` or `\r\n`).
     ///
     /// * `Ok(Some(line))` — a full line arrived;

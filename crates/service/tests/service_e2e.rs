@@ -170,6 +170,17 @@ fn malformed_requests_get_error_replies_and_the_connection_survives() {
     odd_line.base_config.l2.line_size = 96;
     odd_line.base_config.l1d.size_bytes = 12 * 1024;
     odd_line.base_config.l2.size_bytes = 48 * 1024;
+    // A power of two, but not the 128 B line every prefetcher assumes.
+    let mut wide_line = spec.clone();
+    wide_line.base_config.l1d.line_size = 256;
+    wide_line.base_config.l2.line_size = 256;
+    wide_line.base_config.l1d.size_bytes = 32 * 1024;
+    wide_line.base_config.l2.size_bytes = 128 * 1024;
+    // Three tenants split over two SMs: one would own none.
+    let mut split = spec
+        .clone()
+        .co_resident(vec![Workload::Mrq, Workload::Scn], Partitioning::SmSplit);
+    split.base_config.num_sms = 2;
     let mut narrow = spec;
     narrow.base_config.max_warps_per_sm = 2;
     narrow.base_config.max_ctas_per_sm = 2;
@@ -177,8 +188,10 @@ fn malformed_requests_get_error_replies_and_the_connection_survives() {
     for (spec, rule) in [
         (no_mshr, "MSHR entry"),
         (no_channel, "DRAM channel"),
-        (odd_line, "line size must be a power of two"),
+        (odd_line, "line size must be 128 B"),
+        (wide_line, "line size must be 128 B"),
         (crowded, "at most 3 partners"),
+        (split, "an SM per tenant"),
         (narrow, "max_warps_per_sm"),
     ] {
         let err = client
